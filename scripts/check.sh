@@ -29,7 +29,11 @@
 #                            the run that chases the SIMD kernels' raw
 #                            pointer arithmetic, vector tails, and the
 #                            aligned-allocator new/delete pairing in
-#                            simd_test)
+#                            simd_test), then `gelc_stats train`,
+#                            `gelc_stats stream` and `gelc_stream` with
+#                            GELC_TIMINGS=1 GELC_TRACE=1 GELC_METRICS_OUT
+#                            set, so the exit exporters, which run during
+#                            static destruction, run under the sanitizers
 #   7. TSAN ctest          — TSAN build of only the pool-worker-heavy
 #                            binaries (obs_test, parallel_test, plan_test,
 #                            fuzz_test, simd_test, stream_test): the obs
@@ -122,6 +126,21 @@ cmake -B build-ubsan -S . -DGELC_ENABLE_ASAN=ON -DGELC_ENABLE_UBSAN=ON \
   >/dev/null
 cmake --build build-ubsan -j >/dev/null
 (cd build-ubsan && ctest --output-on-failure -j)
+# No unit test reaches process exit, where the exporters write the trace
+# and metrics files and print the summaries; run each exporting tool with
+# every plane on and show its stderr if it fails.
+run_exporters() {
+  GELC_TIMINGS=1 GELC_TRACE=1 GELC_TRACE_OUT="$tmpdir/trace.json" \
+    GELC_METRICS_OUT="$tmpdir/metrics.json" "$@" \
+    >/dev/null 2>"$tmpdir/exporters.err" || {
+    cat "$tmpdir/exporters.err" >&2
+    echo "check.sh: '$*' failed with the exporters on" >&2
+    exit 1
+  }
+}
+run_exporters ./build-ubsan/tools/gelc_stats train
+run_exporters ./build-ubsan/tools/gelc_stats stream
+run_exporters ./build-ubsan/tools/gelc_stream
 
 echo "== [7/7] TSAN ctest =="
 cmake -B build-tsan -S . -DGELC_ENABLE_TSAN=ON >/dev/null

@@ -15,7 +15,6 @@
 // header-only from base's perspective and keeping the instrumentation
 // here beats pushing a callback seam through every parallel call site.
 #include "obs/metrics.h"  // NOLINT(include-layering)
-#include "obs/timing.h"   // NOLINT(include-layering)
 #include "obs/trace.h"    // NOLINT(include-layering)
 
 namespace gelc {
@@ -142,8 +141,7 @@ void ParallelFor(size_t begin, size_t end, size_t grain,
   static obs::Histogram* shard_hist = obs::GetHistogram(
       "parallel.shards_per_call", {1, 2, 4, 8, 16, 32, 64});
   shard_hist->Observe(static_cast<int64_t>(shards));
-  GELC_TRACE_SPAN("parallel.for", {{"n", n}, {"shards", shards}});
-  GELC_OBS_TIME("parallel.for");
+  GELC_OBS_SCOPE("parallel.for", {{"n", n}, {"shards", shards}});
 
   ThreadPool& pool = ThreadPool::Global();
   pool.EnsureWorkers(shards - 1);
@@ -177,8 +175,7 @@ void ParallelFor(size_t begin, size_t end, size_t grain,
       // once pending hits 0 the caller may return and tear down state the
       // next snapshot depends on, so nothing observable may trail it.
       {
-        GELC_TRACE_SPAN("parallel.shard", {{"shard", s}, {"len", e - b}});
-        GELC_OBS_TIME("parallel.shard");
+        GELC_OBS_SCOPE("parallel.shard", {{"shard", s}, {"len", e - b}});
         try {
           fn(b, e);
         } catch (...) {
@@ -191,9 +188,8 @@ void ParallelFor(size_t begin, size_t end, size_t grain,
     });
   }
   try {
-    GELC_TRACE_SPAN("parallel.shard",
-                    {{"shard", 0}, {"len", bounds[0].second - bounds[0].first}});
-    GELC_OBS_TIME("parallel.shard");
+    GELC_OBS_SCOPE("parallel.shard",
+                   {{"shard", 0}, {"len", bounds[0].second - bounds[0].first}});
     fn(bounds[0].first, bounds[0].second);
   } catch (...) {
     std::lock_guard<std::mutex> lock(state.mu);

@@ -8,7 +8,6 @@
 #include "base/logging.h"
 #include "core/rewrite.h"
 #include "obs/metrics.h"
-#include "obs/timing.h"
 #include "obs/trace.h"
 
 namespace gelc {
@@ -612,8 +611,7 @@ Result<PlanPtr> CompileToPlan(const ExprPtr& e, const PlanOptions& options,
   }
   CompileStats local;
   if (stats == nullptr) stats = &local;
-  GELC_TRACE_SPAN("plan_compile", {{"tree_size", e->TreeSize()}});
-  GELC_OBS_TIME("plan_compile");
+  GELC_OBS_SCOPE("plan_compile", {{"tree_size", e->TreeSize()}});
   static obs::Counter* compiles = obs::GetCounter("plan.compile_calls");
   compiles->Increment();
 

@@ -5,7 +5,6 @@
 
 #include "base/logging.h"
 #include "obs/metrics.h"
-#include "obs/timing.h"
 #include "obs/trace.h"
 #include "tensor/fused.h"
 #include "tensor/simd.h"
@@ -80,8 +79,7 @@ Result<Matrix> ExecutePlan(const Plan& plan, const Graph& g) {
   static obs::Counter* execs = obs::GetCounter("plan.exec_calls");
   static obs::Counter* fused = obs::GetCounter("plan.fused_dispatch");
   execs->Increment();
-  GELC_TRACE_SPAN("plan_exec", {{"ops", plan.ops.size()}, {"n", n}});
-  GELC_OBS_TIME("plan_exec");
+  GELC_OBS_SCOPE("plan_exec", {{"ops", plan.ops.size()}, {"n", n}});
 
   std::vector<Matrix> slots(plan.ops.size());
   for (size_t i = 0; i < plan.ops.size(); ++i) {

@@ -1,26 +1,13 @@
 #include "gnn/trainable.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "base/logging.h"
 #include "obs/metrics.h"
-#include "obs/timing.h"
 #include "obs/trace.h"
 
 namespace gelc {
-
-namespace {
-
-// Shared per-epoch instrumentation for the three trainers: epoch count,
-// a last-loss gauge, and (under tracing) one span per epoch.
-void RecordEpoch(double loss) {
-  static obs::Counter* epochs = obs::GetCounter("train.epochs");
-  static obs::Gauge* loss_gauge = obs::GetGauge("train.loss");
-  epochs->Increment();
-  loss_gauge->Set(loss);
-}
-
-}  // namespace
 
 TrainableGnn::TrainableGnn(const Config& config, Rng* rng)
     : config_(config) {
@@ -61,7 +48,7 @@ Result<std::unique_ptr<TrainableGnn>> TrainableGnn::Create(
 ValueId TrainableGnn::VertexEmbeddings(Tape* tape, const Graph& g) const {
   // The graph's cached CSR handle is shared by every tape built over g
   // during training — no per-step adjacency materialization at all. The
-  // epoch loops hoist this call and use the CSR overload directly so not
+  // trainers hoist this call and use the CSR overload directly so not
   // even the cache lookup repeats per epoch.
   return VertexEmbeddings(tape, g, g.Csr());
 }
@@ -129,9 +116,9 @@ ValueId TrainableGnn::GraphLogits(Tape* tape, const Graph& g) const {
 }
 
 ValueId TrainableGnn::GraphLogits(Tape* tape, const GraphBatch& batch) const {
-  GELC_TRACE_SPAN("gnn.batch", {{"graphs", batch.num_graphs()},
-                                {"vertices", batch.num_vertices()},
-                                {"arcs", batch.num_arcs()}});
+  GELC_OBS_SCOPE("gnn.batch", {{"graphs", batch.num_graphs()},
+                               {"vertices", batch.num_vertices()},
+                               {"arcs", batch.num_arcs()}});
   ValueId z = VertexEmbeddings(tape, batch);
   // Row s of pooled carries the same bits as ColSums over block s alone.
   // The head is row-local per pooled row (one row per graph), so the
@@ -191,6 +178,47 @@ std::vector<size_t> WidthsFor(size_t input_dim,
   return widths;
 }
 
+// Builds one part's objective on `tape`, folds the part into
+// `*epoch_loss` (0 at the start of each epoch; the value the epoch
+// reports once every part has run) and returns the root that Backward
+// differentiates.
+using PartLoss =
+    std::function<ValueId(Tape* tape, size_t part, double* epoch_loss)>;
+
+// The ERM loop behind every trainer. Each epoch zeroes the gradients,
+// runs forward and backward for each of `parts` parts on a fresh tape,
+// takes one optimizer step and records the loss. Returns the loss
+// history.
+std::vector<double> RunEpochs(size_t epochs, size_t parts, Optimizer* opt,
+                              const PartLoss& part_loss) {
+  static obs::Counter* epoch_count = obs::GetCounter("train.epochs");
+  static obs::Gauge* loss_gauge = obs::GetGauge("train.loss");
+  std::vector<double> history;
+  for (size_t epoch = 0; epoch < epochs; ++epoch) {
+    GELC_OBS_SCOPE("train.epoch", {{"epoch", epoch}});
+    double epoch_loss = 0.0;
+    opt->ZeroGrad();
+    for (size_t part = 0; part < parts; ++part) {
+      Tape tape;
+      ValueId root = 0;
+      {
+        GELC_OBS_SCOPE("train.forward");
+        root = part_loss(&tape, part, &epoch_loss);
+      }
+      GELC_OBS_SCOPE("train.backward");
+      tape.Backward(root);
+    }
+    {
+      GELC_OBS_SCOPE("train.step");
+      opt->Step();
+    }
+    epoch_count->Increment();
+    loss_gauge->Set(epoch_loss);
+    history.push_back(epoch_loss);
+  }
+  return history;
+}
+
 double Accuracy(const std::vector<size_t>& pred,
                 const std::vector<size_t>& truth) {
   GELC_CHECK(pred.size() == truth.size());
@@ -222,33 +250,14 @@ Result<TrainReport> TrainNodeClassifier(const NodeDataset& data,
   const CsrGraph& csr = data.graph.Csr();
 
   TrainReport report;
-  for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
-    GELC_TRACE_SPAN("train.epoch", {{"epoch", epoch}});
-    GELC_OBS_TIME("train.epoch");
-    Tape tape;
-    ValueId loss;
-    {
-      GELC_TRACE_SPAN("train.forward");
-      GELC_OBS_TIME("train.forward");
-      ValueId logits = model->NodeLogits(&tape, data.graph, csr);
-      ValueId train_logits = tape.GatherRows(logits, data.train_nodes);
-      loss = tape.SoftmaxCrossEntropy(train_logits, train_labels);
-    }
-    opt.ZeroGrad();
-    {
-      GELC_TRACE_SPAN("train.backward");
-      GELC_OBS_TIME("train.backward");
-      tape.Backward(loss);
-    }
-    {
-      GELC_TRACE_SPAN("train.step");
-      GELC_OBS_TIME("train.step");
-      opt.Step();
-    }
-    double epoch_loss = tape.value(loss).At(0, 0);
-    RecordEpoch(epoch_loss);
-    report.loss_history.push_back(epoch_loss);
-  }
+  report.loss_history = RunEpochs(
+      options.epochs, 1, &opt, [&](Tape* tape, size_t, double* epoch_loss) {
+        ValueId logits = model->NodeLogits(tape, data.graph, csr);
+        ValueId loss = tape->SoftmaxCrossEntropy(
+            tape->GatherRows(logits, data.train_nodes), train_labels);
+        *epoch_loss = tape->value(loss).At(0, 0);
+        return loss;
+      });
 
   // Evaluation pass.
   Tape tape;
@@ -308,51 +317,33 @@ Result<TrainReport> TrainGraphClassifier(const GraphDataset& data,
     minibatches.push_back(Minibatch{std::move(batch), std::move(labels)});
   }
 
+  const size_t parts = minibatches.size();
   TrainReport report;
-  for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
-    GELC_TRACE_SPAN("train.epoch", {{"epoch", epoch}});
-    GELC_OBS_TIME("train.epoch");
-    double epoch_loss_sum = 0.0;
-    double last_batch_mean = 0.0;
-    opt.ZeroGrad();
-    for (const Minibatch& mb : minibatches) {
-      size_t k = mb.batch.num_graphs();
-      Tape tape;
-      ValueId loss;
-      {
-        GELC_TRACE_SPAN("train.forward");
-        GELC_OBS_TIME("train.forward");
-        ValueId logits = model->GraphLogits(&tape, mb.batch);
-        loss = tape.SoftmaxCrossEntropy(logits, mb.labels);
-      }
-      // SoftmaxCrossEntropy averages over the k batch rows; scaling the
-      // root by k restores the sum-of-per-graph-gradients semantics the
-      // per-graph loop had (one optimizer step per epoch, gradients
-      // summed over the whole training split regardless of batch size).
-      ValueId scaled = tape.Scale(loss, static_cast<double>(k));
-      {
-        GELC_TRACE_SPAN("train.backward");
-        GELC_OBS_TIME("train.backward");
-        tape.Backward(scaled);
-      }
-      last_batch_mean = tape.value(loss).At(0, 0);
-      epoch_loss_sum += tape.value(scaled).At(0, 0);
-    }
-    {
-      GELC_TRACE_SPAN("train.step");
-      GELC_OBS_TIME("train.step");
-      opt.Step();
-    }
-    // With a single minibatch its cross-entropy already is the mean over
-    // the training split; reporting it directly keeps the loss history
-    // bit-identical to the historical per-graph loop.
-    double mean_loss = minibatches.size() == 1
-                           ? last_batch_mean
-                           : epoch_loss_sum /
-                                 static_cast<double>(train_count);
-    RecordEpoch(mean_loss);
-    report.loss_history.push_back(mean_loss);
-  }
+  report.loss_history = RunEpochs(
+      options.epochs, parts, &opt,
+      [&](Tape* tape, size_t part, double* epoch_loss) {
+        const Minibatch& mb = minibatches[part];
+        ValueId loss = tape->SoftmaxCrossEntropy(
+            model->GraphLogits(tape, mb.batch), mb.labels);
+        // SoftmaxCrossEntropy averages over the k batch rows; scaling the
+        // root by k restores the sum-of-per-graph-gradients semantics the
+        // per-graph loop had (one optimizer step per epoch, gradients
+        // summed over the whole training split regardless of batch size).
+        ValueId scaled =
+            tape->Scale(loss, static_cast<double>(mb.batch.num_graphs()));
+        // With a single minibatch its cross-entropy already is the mean
+        // over the training split; reporting it directly keeps the loss
+        // history bit-identical to the historical per-graph loop.
+        if (parts == 1) {
+          *epoch_loss = tape->value(loss).At(0, 0);
+        } else {
+          *epoch_loss += tape->value(scaled).At(0, 0);
+          if (part + 1 == parts) {
+            *epoch_loss /= static_cast<double>(train_count);
+          }
+        }
+        return scaled;
+      });
 
   // Batched evaluation: one forward over the whole dataset; row i of the
   // logits is bit-identical to the per-graph forward of graph i.
@@ -397,33 +388,14 @@ Result<TrainReport> TrainLinkPredictor(const LinkDataset& data,
   const CsrGraph& csr = data.graph.Csr();
 
   TrainReport report;
-  for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
-    GELC_TRACE_SPAN("train.epoch", {{"epoch", epoch}});
-    GELC_OBS_TIME("train.epoch");
-    Tape tape;
-    ValueId loss;
-    {
-      GELC_TRACE_SPAN("train.forward");
-      GELC_OBS_TIME("train.forward");
-      ValueId logits =
-          model->PairLogits(&tape, data.graph, csr, data.train_pairs);
-      loss = tape.SoftmaxCrossEntropy(logits, data.train_labels);
-    }
-    opt.ZeroGrad();
-    {
-      GELC_TRACE_SPAN("train.backward");
-      GELC_OBS_TIME("train.backward");
-      tape.Backward(loss);
-    }
-    {
-      GELC_TRACE_SPAN("train.step");
-      GELC_OBS_TIME("train.step");
-      opt.Step();
-    }
-    double epoch_loss = tape.value(loss).At(0, 0);
-    RecordEpoch(epoch_loss);
-    report.loss_history.push_back(epoch_loss);
-  }
+  report.loss_history = RunEpochs(
+      options.epochs, 1, &opt, [&](Tape* tape, size_t, double* epoch_loss) {
+        ValueId loss = tape->SoftmaxCrossEntropy(
+            model->PairLogits(tape, data.graph, csr, data.train_pairs),
+            data.train_labels);
+        *epoch_loss = tape->value(loss).At(0, 0);
+        return loss;
+      });
 
   auto eval = [&](const std::vector<std::pair<VertexId, VertexId>>& pairs,
                   const std::vector<size_t>& labels) {

@@ -6,7 +6,6 @@
 #include "base/alloc_tune.h"
 #include "graph/csr.h"
 #include "obs/metrics.h"
-#include "obs/timing.h"
 #include "obs/trace.h"
 
 namespace gelc {
@@ -57,10 +56,9 @@ Result<GraphBatch> GraphBatch::Create(
     total_edges += g->num_edges();
   }
   GELC_CHECK(total_vertices <= std::numeric_limits<uint32_t>::max());
-  GELC_TRACE_SPAN("batch.pack", {{"graphs", graphs.size()},
-                                 {"vertices", total_vertices},
-                                 {"arcs", total_arcs}});
-  GELC_OBS_TIME("batch.pack");
+  GELC_OBS_SCOPE("batch.pack", {{"graphs", graphs.size()},
+                                {"vertices", total_vertices},
+                                {"arcs", total_arcs}});
 
   GraphBatch batch;
   batch.symmetric_ = !graphs[0]->directed();

@@ -6,7 +6,7 @@
 
 #include "base/logging.h"
 #include "obs/metrics.h"
-#include "obs/timing.h"
+#include "obs/trace.h"
 
 namespace gelc {
 
@@ -102,7 +102,7 @@ void Graph::CompactCsr() const {
       "graph.delta.size_at_compaction", {16, 64, 256, 1024, 4096, 16384});
   compactions->Increment();
   size_hist->Observe(static_cast<int64_t>(adj_delta_.pending()));
-  GELC_OBS_TIME("stream.compaction");
+  GELC_OBS_SCOPE("stream.compaction");
   csr_ = std::make_shared<const CsrGraph>(
       *csr_, adj_delta_, directed_ ? &in_delta_ : nullptr, *this);
   adj_delta_.Clear();
@@ -193,7 +193,7 @@ void Graph::EnsureCsrBase() const {
   if (csr_ != nullptr) return;
   static obs::Counter* misses = obs::GetCounter("graph.csr_cache.misses");
   misses->Increment();
-  GELC_OBS_TIME("graph.csr_build");
+  GELC_OBS_SCOPE("graph.csr_build");
   csr_ = std::make_shared<const CsrGraph>(*this);
 }
 

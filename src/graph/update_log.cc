@@ -8,7 +8,7 @@
 
 #include "base/logging.h"
 #include "obs/metrics.h"
-#include "obs/timing.h"
+#include "obs/trace.h"
 
 namespace gelc {
 
@@ -190,7 +190,7 @@ Status ReplayUpdateLog(const UpdateLog& log, Graph* g,
     batch.ops.clear();
     batch.touched.clear();
     {
-      GELC_OBS_TIME("stream.replay_batch");
+      GELC_OBS_SCOPE("stream.replay_batch");
       for (size_t i = start; i < end; ++i) {
         const EdgeOp& op = log.ops[i];
         if (op.kind == EdgeOpKind::kInsert) {

@@ -89,19 +89,18 @@ void RuleRawThread(const FileContext& ctx, std::vector<Diagnostic>* out) {
 }
 
 // ---------------------------------------------------------------------------
-// adhoc-timing: wall-clock reads belong to the trace layer (obs/trace.cc)
-// and the timing plane (obs/timing.cc) — the two TUs that own the clock —
-// or to benchmarks. The rest of src/obs is NOT exempt: the deterministic
-// registry must never read a clock, or its byte-reproducible snapshots
-// stop being byte-reproducible. Ad-hoc steady_clock stopwatches scattered
-// through library code bit-rot, skew results, and bypass GELC_TRACE;
-// instrument with GELC_TRACE_SPAN or GELC_OBS_TIME instead. Matching the
-// bare clock identifier (not the full std::chrono:: spelling) also
-// catches namespace aliases.
+// adhoc-timing: wall-clock reads belong to obs/trace.cc — the one TU
+// that owns the clock, read by the scopes that feed both the trace and
+// the timing plane — or to benchmarks. The rest of src/obs is NOT exempt:
+// the deterministic registry must never read a clock, or its
+// byte-reproducible snapshots stop being byte-reproducible. Ad-hoc
+// steady_clock stopwatches scattered through library code bit-rot, skew
+// results, and bypass GELC_TRACE/GELC_TIMINGS; instrument with
+// GELC_OBS_SCOPE instead. Matching the bare clock identifier (not the
+// full std::chrono:: spelling) also catches namespace aliases.
 // ---------------------------------------------------------------------------
 void RuleAdhocTiming(const FileContext& ctx, std::vector<Diagnostic>* out) {
   if (PathEndsWith(ctx.path, "obs/trace.cc") ||
-      PathEndsWith(ctx.path, "obs/timing.cc") ||
       PathHasComponent(ctx.path, "bench")) {
     return;
   }
@@ -113,9 +112,9 @@ void RuleAdhocTiming(const FileContext& ctx, std::vector<Diagnostic>* out) {
     if (kClocks.count(tok.text) == 0) continue;
     Report(ctx, tok.line, "adhoc-timing",
            tok.text +
-               " outside obs/trace.cc, obs/timing.cc, and bench/; time code "
-               "with GELC_TRACE_SPAN (obs/trace.h) or GELC_OBS_TIME "
-               "(obs/timing.h) instead of an ad-hoc stopwatch",
+               " outside obs/trace.cc and bench/; time code with "
+               "GELC_OBS_SCOPE (obs/trace.h) instead of an ad-hoc "
+               "stopwatch",
            out);
   }
 }

@@ -75,19 +75,35 @@ size_t GmlFormula::MinFeatureDim() const {
 }
 
 std::string GmlFormula::ToString() const {
+  // Appends instead of operator+ chains: at -O3, GCC 12 reports a false
+  // -Wrestrict inside the chained std::string concatenations, which
+  // -Werror turns into a Release build failure.
+  std::string out;
   switch (kind_) {
     case Kind::kTrue:
       return "true";
     case Kind::kLabel:
-      return "lab_" + std::to_string(label_index_);
+      out = "lab_";
+      out += std::to_string(label_index_);
+      return out;
     case Kind::kNot:
-      return "!" + left_->ToString();
+      out = "!";
+      out += left_->ToString();
+      return out;
     case Kind::kAnd:
-      return "(" + left_->ToString() + " & " + right_->ToString() + ")";
     case Kind::kOr:
-      return "(" + left_->ToString() + " | " + right_->ToString() + ")";
+      out = "(";
+      out += left_->ToString();
+      out += kind_ == Kind::kAnd ? " & " : " | ";
+      out += right_->ToString();
+      out += ")";
+      return out;
     case Kind::kAtLeast:
-      return "<>" + std::to_string(count_) + " " + left_->ToString();
+      out = "<>";
+      out += std::to_string(count_);
+      out += " ";
+      out += left_->ToString();
+      return out;
   }
   return "?";
 }

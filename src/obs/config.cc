@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "obs/metrics.h"
 #include "obs/snapshot.h"
 #include "obs/timing.h"
 #include "obs/trace.h"
@@ -44,64 +43,46 @@ std::atomic<bool>& TraceFlag() {
   return flag;
 }
 
-// Writes the trace file and the optional metrics snapshot when the
-// process exits. Constructed lazily by EnsureExitExporter, which the
-// registry and trace collector call from their own initialization.
-struct ExitExporter {
-  // Whichever singleton triggered EnsureExitExporter, materialize the
-  // other one too: static destruction runs in reverse construction
-  // order, so this guarantees the destructor below fires while the
-  // registry and the collector are both still alive. (Without this, a
-  // counter-first program whose collector is constructed later would
-  // have the collector torn down before the export runs.) The config is
-  // copied, not referenced: GlobalConfig()'s static may be constructed
-  // after this object — e.g. when the first obs touch is a GetCounter,
-  // whose MetricsEnabled check runs only after registration — and would
-  // then be destroyed first, leaving its strings dangling here.
-  ExitExporter() : config(GlobalConfig()) {
-    internal::TouchMetricsRegistry();
-    internal::TouchTraceCollector();
-    internal::TouchTimingRegistry();
-  }
-
-  Config config;
-
-  ~ExitExporter() {
-    if (config.trace_enabled && TraceEventCount() > 0) {
-      // Status::ToString lives in gelc_base (which links *us*); print the
-      // message directly so gelc_obs stays link-standalone.
-      Status s = WriteTrace(config.trace_out);
-      if (!s.ok()) {
-        std::fprintf(stderr, "gelc: %s\n", s.message().c_str());
-      } else {
-        std::fprintf(stderr, "gelc: trace written to %s (%zu spans)\n",
-                     config.trace_out.c_str(), TraceEventCount());
-        std::fputs(TraceSummaryText().c_str(), stderr);
-      }
-    }
-    if (config.timings_enabled && TimingObservationCount() > 0) {
-      // The timing plane's rollup goes to stderr like the trace summary;
-      // it never touches the deterministic snapshot goldens.
-      std::fputs(TimingSummaryText().c_str(), stderr);
-    }
-    if (!config.metrics_out.empty()) {
-      Status s = WriteSnapshotJson(config.metrics_out);
-      if (!s.ok()) std::fprintf(stderr, "gelc: %s\n", s.message().c_str());
+// Writes the trace file, prints the trace and timing summaries, and
+// dumps the optional metrics snapshot. Registered with std::atexit by the
+// first GlobalConfig() call; everything it reads is never destroyed.
+void ExportAtExit() {
+  const Config& config = GlobalConfig();
+  if (config.trace_enabled && TraceEventCount() > 0) {
+    // Status::ToString lives in gelc_base (which links *us*); print the
+    // message directly so gelc_obs stays link-standalone.
+    Status s = WriteTrace(config.trace_out);
+    if (!s.ok()) {
+      std::fprintf(stderr, "gelc: %s\n", s.message().c_str());
+    } else {
+      std::fprintf(stderr, "gelc: trace written to %s (%zu spans)\n",
+                   config.trace_out.c_str(), TraceEventCount());
+      std::fputs(TraceSummaryText().c_str(), stderr);
     }
   }
-};
+  if (config.timings_enabled && TimingObservationCount() > 0) {
+    // The timing plane's rollup goes to stderr like the trace summary;
+    // it never touches the deterministic snapshot goldens.
+    std::fputs(TimingSummaryText().c_str(), stderr);
+  }
+  if (!config.metrics_out.empty()) {
+    Status s = WriteSnapshotJson(config.metrics_out);
+    if (!s.ok()) std::fprintf(stderr, "gelc: %s\n", s.message().c_str());
+  }
+}
 
 }  // namespace
 
 const Config& GlobalConfig() {
-  static const Config config = [] {
-    Config c;
-    c.metrics_enabled = EnvFlag("GELC_METRICS", true);
-    c.timings_enabled = EnvFlag("GELC_TIMINGS", false);
-    c.trace_enabled = EnvFlag("GELC_TRACE", false);
-    c.trace_out = EnvString("GELC_TRACE_OUT", "gelc_trace.json");
-    c.metrics_out = EnvString("GELC_METRICS_OUT", "");
-    return c;
+  static const Config& config = []() -> const Config& {
+    auto* c = new Config;  // NOLINT(banned-alloc): never destroyed
+    c->metrics_enabled = EnvFlag("GELC_METRICS", true);
+    c->timings_enabled = EnvFlag("GELC_TIMINGS", false);
+    c->trace_enabled = EnvFlag("GELC_TRACE", false);
+    c->trace_out = EnvString("GELC_TRACE_OUT", "gelc_trace.json");
+    c->metrics_out = EnvString("GELC_METRICS_OUT", "");
+    std::atexit(ExportAtExit);
+    return *c;
   }();
   return config;
 }
@@ -133,15 +114,6 @@ void ResetEnabledFromEnv() {
   SetTimingsEnabled(GlobalConfig().timings_enabled);
   SetTraceEnabled(GlobalConfig().trace_enabled);
 }
-
-namespace internal {
-
-void EnsureExitExporter() {
-  static ExitExporter exporter;
-  (void)exporter;
-}
-
-}  // namespace internal
 
 }  // namespace obs
 }  // namespace gelc

@@ -4,14 +4,16 @@
 //   GELC_METRICS      "0" disables the metrics registry (default: on).
 //                     Disabled counters/gauges/histograms are no-ops; the
 //                     instrumented hot paths pay one relaxed atomic load.
-//   GELC_TIMINGS      "1" enables the timing plane (default: off): scoped
-//                     GELC_OBS_TIME timers record into latency histograms
-//                     (obs/timing.h), snapshots gain a `timings` section,
-//                     and the exit exporter prints the latency rollup to
-//                     stderr. Never affects the deterministic plane.
-//   GELC_TRACE        "1" enables scoped trace spans (default: off). At
-//                     process exit the buffered spans are written to
-//                     GELC_TRACE_OUT as Chrome/Perfetto JSON.
+//   GELC_TIMINGS      "1" enables the timing plane (default: off): each
+//                     GELC_OBS_SCOPE records into the latency histogram
+//                     of its name (obs/timing.h), snapshots gain a
+//                     `timings` section, and the exit exporter prints
+//                     the latency rollup to stderr. Never affects the
+//                     deterministic plane.
+//   GELC_TRACE        "1" makes each GELC_OBS_SCOPE record a trace span
+//                     (default: off). At process exit the buffered spans
+//                     are written to GELC_TRACE_OUT as Chrome/Perfetto
+//                     JSON.
 //   GELC_TRACE_OUT    Trace output path (default "gelc_trace.json").
 //   GELC_METRICS_OUT  Optional path; when set, the metrics snapshot JSON
 //                     is written there at process exit (run_benches.sh
@@ -20,6 +22,12 @@
 // The enabled flags can also be flipped at runtime (tests and gelc_stats
 // do) via SetMetricsEnabled / SetTimingsEnabled / SetTraceEnabled;
 // passing the env-derived default back is done with ResetEnabledFromEnv.
+//
+// The first read of the config registers the exit exporter (std::atexit),
+// which writes the trace file, prints the trace and timing summaries and
+// dumps the metrics snapshot. The config, the metrics registry, the trace
+// collector and the timing registry are never destroyed, so the exporter
+// reads live objects however the program's static destruction is ordered.
 #ifndef GELC_OBS_CONFIG_H_
 #define GELC_OBS_CONFIG_H_
 
@@ -37,16 +45,17 @@ struct Config {
   std::string metrics_out;  // empty: no exit-time snapshot dump
 };
 
-/// The process-wide configuration (env parsed on first call).
+/// The process-wide configuration (env parsed on first call, which also
+/// registers the exit exporter). Never destroyed.
 const Config& GlobalConfig();
 
 /// True when counters/gauges/histograms record (hot-path check: one
 /// relaxed atomic load).
 bool MetricsEnabled();
-/// True when scoped GELC_OBS_TIME timers read the clock and record into
-/// latency histograms (hot-path check: one relaxed atomic load).
+/// True when scopes read the clock and record into latency histograms
+/// (hot-path check: one relaxed atomic load).
 bool TimingsEnabled();
-/// True when scoped spans record into the trace ring buffers.
+/// True when scopes record spans into the trace ring buffers.
 bool TraceEnabled();
 
 /// Runtime overrides of the env-derived flags (benchmark sweeps and
@@ -57,14 +66,6 @@ void SetTraceEnabled(bool enabled);
 /// Restores the flags to the GELC_METRICS / GELC_TIMINGS / GELC_TRACE
 /// values.
 void ResetEnabledFromEnv();
-
-namespace internal {
-/// Registers the process-exit exporter (trace file + optional metrics
-/// snapshot dump) exactly once. Called by the registry and the trace
-/// collector on construction so the exporter is destroyed — and thus
-/// runs — before either of them goes away.
-void EnsureExitExporter();
-}  // namespace internal
 
 }  // namespace obs
 }  // namespace gelc

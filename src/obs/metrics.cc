@@ -69,25 +69,19 @@ struct Registry {
   std::map<std::string, std::unique_ptr<Counter>> counters;
   std::map<std::string, std::unique_ptr<Gauge>> gauges;
   std::map<std::string, std::unique_ptr<Histogram>> histograms;
-
-  // Construction only — see TouchMetricsRegistry for why this exists
-  // separately from Global().
-  static Registry& Instance() {
-    static Registry registry;
-    return registry;
-  }
-
-  static Registry& Global() {
-    Registry& registry = Instance();
-    internal::EnsureExitExporter();
-    return registry;
-  }
 };
+
+// Never destroyed: the exit exporter reads it during static destruction.
+Registry& GlobalRegistry() {
+  static Registry& registry =
+      *new Registry;  // NOLINT(banned-alloc): never destroyed
+  return registry;
+}
 
 }  // namespace
 
 Counter* GetCounter(const std::string& name) {
-  Registry& r = Registry::Global();
+  Registry& r = GlobalRegistry();
   std::lock_guard<std::mutex> lock(r.mu);
   auto it = r.counters.find(name);
   if (it == r.counters.end()) {
@@ -97,7 +91,7 @@ Counter* GetCounter(const std::string& name) {
 }
 
 Gauge* GetGauge(const std::string& name) {
-  Registry& r = Registry::Global();
+  Registry& r = GlobalRegistry();
   std::lock_guard<std::mutex> lock(r.mu);
   auto it = r.gauges.find(name);
   if (it == r.gauges.end()) {
@@ -108,7 +102,7 @@ Gauge* GetGauge(const std::string& name) {
 
 Histogram* GetHistogram(const std::string& name,
                         const std::vector<int64_t>& bounds) {
-  Registry& r = Registry::Global();
+  Registry& r = GlobalRegistry();
   std::lock_guard<std::mutex> lock(r.mu);
   auto it = r.histograms.find(name);
   if (it == r.histograms.end()) {
@@ -120,14 +114,14 @@ Histogram* GetHistogram(const std::string& name,
 }
 
 uint64_t ReadCounter(const std::string& name) {
-  Registry& r = Registry::Global();
+  Registry& r = GlobalRegistry();
   std::lock_guard<std::mutex> lock(r.mu);
   auto it = r.counters.find(name);
   return it == r.counters.end() ? 0 : it->second->Read();
 }
 
 void ResetMetricsForTest() {
-  Registry& r = Registry::Global();
+  Registry& r = GlobalRegistry();
   std::lock_guard<std::mutex> lock(r.mu);
   for (auto& [name, c] : r.counters) c->Reset();
   for (auto& [name, g] : r.gauges) g->Reset();
@@ -136,12 +130,10 @@ void ResetMetricsForTest() {
 
 namespace internal {
 
-void TouchMetricsRegistry() { Registry::Instance(); }
-
 void VisitMetrics(const std::function<void(const Counter&)>& on_counter,
                   const std::function<void(const Gauge&)>& on_gauge,
                   const std::function<void(const Histogram&)>& on_histogram) {
-  Registry& r = Registry::Global();
+  Registry& r = GlobalRegistry();
   std::lock_guard<std::mutex> lock(r.mu);
   for (const auto& [name, c] : r.counters) on_counter(*c);
   for (const auto& [name, g] : r.gauges) on_gauge(*g);

@@ -13,9 +13,12 @@
 //    relaxed atomic load), and the instrumented algorithms are
 //    bit-identical either way: metrics never feed back into computation.
 //  - Values are deterministic by construction: the registry holds counts,
-//    sizes, and losses — never wall-clock durations (timing belongs to
-//    the trace layer, obs/trace.h). Two identical runs therefore produce
-//    byte-identical snapshots (obs/snapshot.h).
+//    sizes, and losses — never wall-clock durations (those belong to the
+//    scopes of obs/trace.h and the timing plane, obs/timing.h). Two
+//    identical runs therefore produce byte-identical snapshots
+//    (obs/snapshot.h).
+//  - The registry is never destroyed, so the exit exporter can read it
+//    whenever static destruction runs.
 #ifndef GELC_OBS_METRICS_H_
 #define GELC_OBS_METRICS_H_
 
@@ -157,11 +160,6 @@ namespace internal {
 void VisitMetrics(const std::function<void(const Counter&)>& on_counter,
                   const std::function<void(const Gauge&)>& on_gauge,
                   const std::function<void(const Histogram&)>& on_histogram);
-
-/// Constructs the registry singleton without registering the exit
-/// exporter. Called from the exporter's constructor so the registry is
-/// always constructed first — and thus destroyed after the export runs.
-void TouchMetricsRegistry();
 }  // namespace internal
 
 }  // namespace obs

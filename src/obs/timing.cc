@@ -1,7 +1,6 @@
 #include "obs/timing.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -11,30 +10,24 @@
 namespace gelc {
 namespace obs {
 
-namespace internal {
-
-int64_t TimingNowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace internal
-
 namespace {
 
 // The shared log-spaced bound table: exact small values 1..4, then four
 // linear steps per power-of-two octave up to 2^36 ns (~68.7s). Relative
 // bucket width is <= 25% everywhere past the exact range, which keeps
-// interpolated percentiles honest without hundreds of buckets.
-std::vector<int64_t> BuildBounds() {
-  std::vector<int64_t> bounds = {1, 2, 3, 4};
+// interpolated percentiles honest without hundreds of buckets. Constant
+// initialization means the table is never destroyed.
+constexpr std::array<int64_t, LatencyHistogram::kNumBounds> kBounds = [] {
+  std::array<int64_t, LatencyHistogram::kNumBounds> bounds{1, 2, 3, 4};
+  size_t i = 4;
   for (int64_t octave = 4; octave < (int64_t{1} << 36); octave *= 2) {
-    const int64_t step = octave / 4;
-    for (int i = 1; i <= 4; ++i) bounds.push_back(octave + i * step);
+    for (int64_t step = 1; step <= 4; ++step) {
+      bounds[i++] = octave + step * (octave / 4);
+    }
   }
   return bounds;
-}
+}();
+static_assert(kBounds.back() == int64_t{1} << 36);
 
 // Latency histograms keyed by name in a sorted map (snapshot iteration
 // order is deterministic), mirroring the metrics Registry. The mutex
@@ -42,18 +35,14 @@ std::vector<int64_t> BuildBounds() {
 struct TimingRegistry {
   std::mutex mu;
   std::map<std::string, std::unique_ptr<LatencyHistogram>> histograms;
-
-  static TimingRegistry& Instance() {
-    static TimingRegistry registry;
-    return registry;
-  }
-
-  static TimingRegistry& Global() {
-    TimingRegistry& registry = Instance();
-    internal::EnsureExitExporter();
-    return registry;
-  }
 };
+
+// Never destroyed: the exit exporter reads it during static destruction.
+TimingRegistry& GlobalTimingRegistry() {
+  static TimingRegistry& registry =
+      *new TimingRegistry;  // NOLINT(banned-alloc): never destroyed
+  return registry;
+}
 
 std::string FormatMsFixed(double ns) {
   char buf[32];
@@ -63,26 +52,19 @@ std::string FormatMsFixed(double ns) {
 
 }  // namespace
 
-namespace internal {
-
-void TouchTimingRegistry() { TimingRegistry::Instance(); }
-
-}  // namespace internal
-
-LatencyHistogram::LatencyHistogram(std::string name)
-    : shards_(internal::kShards), name_(std::move(name)) {}
-
-void LatencyHistogram::Observe(int64_t ns) {
+void LatencyHistogram::Observe(int64_t ns, int64_t exclusive_ns) {
   if (!TimingsEnabled()) return;
   Shard& shard = shards_[internal::ThisThreadShard()];
   shard.counts[BucketIndex(ns)].fetch_add(1, std::memory_order_relaxed);
-  shard.sum_ns.fetch_add(ns < 0 ? 0 : ns, std::memory_order_relaxed);
+  shard.sum_ns.fetch_add(std::max<int64_t>(ns, 0), std::memory_order_relaxed);
+  shard.exclusive_ns.fetch_add(std::max<int64_t>(exclusive_ns, 0),
+                               std::memory_order_relaxed);
 }
 
 std::vector<uint64_t> LatencyHistogram::Counts() const {
-  std::vector<uint64_t> out(NumBuckets(), 0);
+  std::vector<uint64_t> out(kNumBuckets, 0);
   for (const Shard& shard : shards_) {
-    for (size_t b = 0; b < out.size(); ++b) {
+    for (size_t b = 0; b < kNumBuckets; ++b) {
       out[b] += shard.counts[b].load(std::memory_order_relaxed);
     }
   }
@@ -107,26 +89,32 @@ int64_t LatencyHistogram::SumNs() const {
   return sum;
 }
 
+int64_t LatencyHistogram::ExclusiveSumNs() const {
+  int64_t sum = 0;
+  for (const Shard& shard : shards_) {
+    sum += shard.exclusive_ns.load(std::memory_order_relaxed);
+  }
+  return sum;
+}
+
 void LatencyHistogram::Reset() {
   for (Shard& shard : shards_) {
     for (auto& c : shard.counts) c.store(0, std::memory_order_relaxed);
     shard.sum_ns.store(0, std::memory_order_relaxed);
+    shard.exclusive_ns.store(0, std::memory_order_relaxed);
   }
 }
 
-size_t LatencyHistogram::NumBuckets() { return BucketBounds().size() + 1; }
-
-const std::vector<int64_t>& LatencyHistogram::BucketBounds() {
-  static const std::vector<int64_t> bounds = BuildBounds();
-  return bounds;
+const std::array<int64_t, LatencyHistogram::kNumBounds>&
+LatencyHistogram::BucketBounds() {
+  return kBounds;
 }
 
 size_t LatencyHistogram::BucketIndex(int64_t ns) {
-  const std::vector<int64_t>& bounds = BucketBounds();
   // Same inclusive-upper-bound convention as obs::Histogram: bucket i
   // holds values <= bounds[i]; anything past the last bound overflows.
   return static_cast<size_t>(
-      std::lower_bound(bounds.begin(), bounds.end(), ns) - bounds.begin());
+      std::lower_bound(kBounds.begin(), kBounds.end(), ns) - kBounds.begin());
 }
 
 double LatencyHistogram::QuantileNs(const std::vector<uint64_t>& counts,
@@ -138,27 +126,26 @@ double LatencyHistogram::QuantileNs(const std::vector<uint64_t>& counts,
   // 0-based continuous rank; interpolate at the midpoint convention so
   // a single-observation histogram reports that bucket's interior.
   const double rank = q * (static_cast<double>(total) - 1.0);
-  const std::vector<int64_t>& bounds = BucketBounds();
   double cum = 0.0;
   for (size_t b = 0; b < counts.size(); ++b) {
     if (counts[b] == 0) continue;
     const double in_bucket = static_cast<double>(counts[b]);
     if (rank < cum + in_bucket) {
       const double lo =
-          b == 0 ? 0.0 : static_cast<double>(bounds[b - 1]);
+          b == 0 ? 0.0 : static_cast<double>(kBounds[b - 1]);
       // The overflow bucket has no upper edge; report its lower edge.
-      if (b >= bounds.size()) return static_cast<double>(bounds.back());
-      const double hi = static_cast<double>(bounds[b]);
+      if (b >= kBounds.size()) return static_cast<double>(kBounds.back());
+      const double hi = static_cast<double>(kBounds[b]);
       const double frac = (rank - cum + 0.5) / in_bucket;
       return lo + frac * (hi - lo);
     }
     cum += in_bucket;
   }
-  return static_cast<double>(bounds.back());
+  return static_cast<double>(kBounds.back());
 }
 
 LatencyHistogram* GetLatencyHistogram(const std::string& name) {
-  TimingRegistry& r = TimingRegistry::Global();
+  TimingRegistry& r = GlobalTimingRegistry();
   std::lock_guard<std::mutex> lock(r.mu);
   auto it = r.histograms.find(name);
   if (it == r.histograms.end()) {
@@ -170,7 +157,7 @@ LatencyHistogram* GetLatencyHistogram(const std::string& name) {
 }
 
 std::vector<LatencySample> TimingSnapshot() {
-  TimingRegistry& r = TimingRegistry::Global();
+  TimingRegistry& r = GlobalTimingRegistry();
   std::lock_guard<std::mutex> lock(r.mu);
   std::vector<LatencySample> out;
   for (const auto& [name, hist] : r.histograms) {
@@ -182,6 +169,7 @@ std::vector<LatencySample> TimingSnapshot() {
     sample.name = name;
     sample.count = total;
     sample.sum_ns = hist->SumNs();
+    sample.exclusive_ns = hist->ExclusiveSumNs();
     sample.p50_ns = LatencyHistogram::QuantileNs(counts, 0.50);
     sample.p90_ns = LatencyHistogram::QuantileNs(counts, 0.90);
     sample.p99_ns = LatencyHistogram::QuantileNs(counts, 0.99);
@@ -191,7 +179,7 @@ std::vector<LatencySample> TimingSnapshot() {
 }
 
 uint64_t TimingObservationCount() {
-  TimingRegistry& r = TimingRegistry::Global();
+  TimingRegistry& r = GlobalTimingRegistry();
   std::lock_guard<std::mutex> lock(r.mu);
   uint64_t total = 0;
   for (const auto& [name, hist] : r.histograms) total += hist->TotalCount();
@@ -200,9 +188,10 @@ uint64_t TimingObservationCount() {
 
 std::string TimingSummaryText() {
   std::vector<LatencySample> samples = TimingSnapshot();
+  if (samples.empty()) return "(no timings recorded)\n";
   std::ostringstream out;
   out << "timer                                     count      p50_ms"
-         "      p90_ms      p99_ms    total_ms\n";
+         "      p90_ms      p99_ms    total_ms     excl_ms\n";
   // Phase = the series name up to the first '.' (the same convention
   // the trace-span names follow), so "train.epoch" and "train.step"
   // roll up under "train". std::map keeps rollup order deterministic.
@@ -210,38 +199,43 @@ std::string TimingSummaryText() {
   for (const LatencySample& s : samples) {
     std::string label = s.name;
     if (label.size() < 40) label.resize(40, ' ');
-    char line[160];
-    std::snprintf(line, sizeof(line), "%s %6llu %11s %11s %11s %11s\n",
+    char line[192];
+    std::snprintf(line, sizeof(line), "%s %6llu %11s %11s %11s %11s %11s\n",
                   label.c_str(), static_cast<unsigned long long>(s.count),
                   FormatMsFixed(s.p50_ns).c_str(),
                   FormatMsFixed(s.p90_ns).c_str(),
                   FormatMsFixed(s.p99_ns).c_str(),
-                  FormatMsFixed(static_cast<double>(s.sum_ns)).c_str());
+                  FormatMsFixed(static_cast<double>(s.sum_ns)).c_str(),
+                  FormatMsFixed(static_cast<double>(s.exclusive_ns)).c_str());
     out << line;
-    std::string phase = s.name.substr(0, s.name.find('.'));
-    auto& [calls, sum] = phases[phase];
+    auto& [calls, exclusive] = phases[s.name.substr(0, s.name.find('.'))];
     calls += s.count;
-    sum += s.sum_ns;
+    exclusive += s.exclusive_ns;
   }
-  if (samples.empty()) {
-    out << "(no timings recorded)\n";
-    return out.str();
-  }
-  out << "phase rollup:\n";
-  for (const auto& [phase, tally] : phases) {
-    std::string label = "  " + phase;
+  out << "phase rollup (exclusive ms):\n";
+  auto rollup_line = [&out](const std::string& name, uint64_t calls,
+                            int64_t exclusive) {
+    std::string label = "  " + name;
     if (label.size() < 40) label.resize(40, ' ');
     char line[160];
-    std::snprintf(line, sizeof(line), "%s %6llu %47s\n", label.c_str(),
-                  static_cast<unsigned long long>(tally.first),
-                  FormatMsFixed(static_cast<double>(tally.second)).c_str());
+    std::snprintf(line, sizeof(line), "%s %6llu %59s\n", label.c_str(),
+                  static_cast<unsigned long long>(calls),
+                  FormatMsFixed(static_cast<double>(exclusive)).c_str());
     out << line;
+  };
+  uint64_t total_calls = 0;
+  int64_t total_exclusive = 0;
+  for (const auto& [phase, tally] : phases) {
+    rollup_line(phase, tally.first, tally.second);
+    total_calls += tally.first;
+    total_exclusive += tally.second;
   }
+  rollup_line("total", total_calls, total_exclusive);
   return out.str();
 }
 
 void ResetTimingsForTest() {
-  TimingRegistry& r = TimingRegistry::Global();
+  TimingRegistry& r = GlobalTimingRegistry();
   std::lock_guard<std::mutex> lock(r.mu);
   for (auto& [name, hist] : r.histograms) hist->Reset();
 }

@@ -44,19 +44,6 @@ struct ThreadBuffer {
 
 class TraceCollector {
  public:
-  // Construction only — see TouchTraceCollector for why this exists
-  // separately from Global().
-  static TraceCollector& Instance() {
-    static TraceCollector collector;
-    return collector;
-  }
-
-  static TraceCollector& Global() {
-    TraceCollector& collector = Instance();
-    internal::EnsureExitExporter();
-    return collector;
-  }
-
   ThreadBuffer* BufferForThisThread() {
     thread_local ThreadBuffer* buffer = nullptr;
     if (buffer == nullptr) {
@@ -106,10 +93,26 @@ class TraceCollector {
   }
 
  private:
-  TraceCollector() = default;
   std::mutex mu_;
   std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
 };
+
+// Never destroyed: the exit exporter reads it during static destruction.
+TraceCollector& Collector() {
+  static TraceCollector& collector =
+      *new TraceCollector;  // NOLINT(banned-alloc): never destroyed
+  return collector;
+}
+
+// The innermost open scope of the calling thread.
+thread_local Scope* t_open_scope = nullptr;
+
+// Monotonic nanoseconds (steady_clock); only meaningful as differences.
+int64_t NowNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 std::string FormatMicros(int64_t ns) {
   char buf[32];
@@ -131,22 +134,9 @@ std::string FormatMillis(int64_t ns) {
 
 namespace internal {
 
-void TouchTraceCollector() { TraceCollector::Instance(); }
-
-int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-uint32_t& ThreadSpanDepth() {
-  thread_local uint32_t depth = 0;
-  return depth;
-}
-
 void RecordSpan(const char* name, int64_t start_ns, int64_t end_ns,
                 uint32_t depth, const SpanArg* args, uint32_t nargs) {
-  ThreadBuffer* buf = TraceCollector::Global().BufferForThisThread();
+  ThreadBuffer* buf = Collector().BufferForThisThread();
   uint64_t head = buf->head.load(std::memory_order_relaxed);
   TraceEvent& e = buf->slots[head % kRingCapacity];
   e.name = name;
@@ -160,26 +150,34 @@ void RecordSpan(const char* name, int64_t start_ns, int64_t end_ns,
 
 }  // namespace internal
 
-ScopedSpan::ScopedSpan(const char* name, std::initializer_list<SpanArg> args)
-    : active_(TraceEnabled()) {
-  if (!active_) return;
-  name_ = name;
-  for (const SpanArg& a : args) {
-    if (nargs_ < internal::kMaxSpanArgs) args_[nargs_++] = a;
+void Scope::Open(LatencyHistogram* series,
+                 std::initializer_list<SpanArg> args) {
+  series_ = series;
+  if (traced_) {
+    for (const SpanArg& a : args) {
+      if (nargs_ < internal::kMaxSpanArgs) args_[nargs_++] = a;
+    }
   }
-  depth_ = internal::ThreadSpanDepth()++;
-  start_ns_ = internal::NowNs();
+  parent_ = t_open_scope;
+  depth_ = parent_ == nullptr ? 0 : parent_->depth_ + 1;
+  t_open_scope = this;
+  start_ns_ = NowNs();
 }
 
-ScopedSpan::~ScopedSpan() {
-  if (!active_) return;
-  int64_t end_ns = internal::NowNs();
-  --internal::ThreadSpanDepth();
-  internal::RecordSpan(name_, start_ns_, end_ns, depth_, args_, nargs_);
+void Scope::Close() {
+  const int64_t end_ns = NowNs();
+  const int64_t ns = end_ns - start_ns_;
+  t_open_scope = parent_;
+  if (parent_ != nullptr) parent_->children_ns_ += ns;
+  if (timed_) series_->Observe(ns, ns - children_ns_);
+  if (traced_) {
+    internal::RecordSpan(series_->name().c_str(), start_ns_, end_ns, depth_,
+                         args_, nargs_);
+  }
 }
 
-void ScopedSpan::SetArg(const char* key, int64_t value) {
-  if (!active_) return;
+void Scope::SetArg(const char* key, int64_t value) {
+  if (!traced_) return;
   for (uint32_t i = 0; i < nargs_; ++i) {
     if (args_[i].key == key) {
       args_[i].value = value;
@@ -190,7 +188,7 @@ void ScopedSpan::SetArg(const char* key, int64_t value) {
 }
 
 std::string TraceJson() {
-  auto events = TraceCollector::Global().Collect();
+  auto events = Collector().Collect();
   // Timestamps relative to the earliest buffered span keep the JSON
   // small and make fresh traces start at ts=0.
   int64_t epoch = 0;
@@ -233,7 +231,7 @@ Status WriteTrace(const std::string& path) {
 }
 
 std::string TraceSummaryText() {
-  auto events = TraceCollector::Global().Collect();
+  auto events = Collector().Collect();
   struct Node {
     uint64_t calls = 0;
     int64_t incl_ns = 0;
@@ -282,9 +280,9 @@ std::string TraceSummaryText() {
   return out.str();
 }
 
-size_t TraceEventCount() { return TraceCollector::Global().EventCount(); }
+size_t TraceEventCount() { return Collector().EventCount(); }
 
-void ResetTraceForTest() { TraceCollector::Global().Reset(); }
+void ResetTraceForTest() { Collector().Reset(); }
 
 }  // namespace obs
 }  // namespace gelc

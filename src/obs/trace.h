@@ -1,25 +1,34 @@
-// Scoped trace spans recorded into per-thread ring buffers (see
-// DESIGN.md "Observability").
+// Scoped instrumentation: one RAII scope feeds both observability planes
+// (see DESIGN.md "Observability").
 //
 //   void RunRound(size_t r) {
-//     GELC_TRACE_SPAN("wl.round", {{"round", r}});
+//     GELC_OBS_SCOPE("wl.round", {{"round", r}});
 //     ...
 //   }
 //
-// Each span records (name, start, duration, nesting depth, small integer
-// args) on destruction into a lock-free ring buffer owned by the calling
-// thread; the collector drains every buffer on export. Two exporters:
+// A scope reads the clock when it opens and when it closes, and only if
+// tracing or timings were on when it opened. On close it
+//  - records a span (name, start, duration, nesting depth, small integer
+//    args) into a lock-free ring buffer owned by the calling thread, if
+//    TraceEnabled(); the collector drains every buffer on export;
+//  - observes the LatencyHistogram of the same name (obs/timing.h) with
+//    its inclusive and exclusive nanoseconds, if TimingsEnabled().
+// Each open scope links to the scope open around it on the same thread;
+// that link gives the span depth and the exclusive time (inclusive minus
+// the direct children). With both planes off a scope costs two relaxed
+// atomic loads and no clock read. Arg keys must be string literals (the
+// ring buffer stores the pointers, not copies); the span name is the
+// series name, which the never-destroyed timing registry owns.
+//
+// Two trace exporters:
 //   TraceJson()        — Chrome chrome://tracing / Perfetto "traceEvents"
 //                        JSON (complete "X" events, microsecond ts/dur)
 //   TraceSummaryText() — a merged call tree with call counts and
 //                        inclusive/exclusive milliseconds per path
-// When TraceEnabled() is false a span costs one relaxed atomic load and
-// no clock read. Span names and arg keys must be string literals (the
-// ring buffer stores the pointers, not copies).
 //
-// Timing policy: this file is the only sanctioned home of steady_clock
-// reads outside bench/ — the adhoc-timing lint rule enforces it. Wall
-// times never enter the metrics registry, which stays deterministic.
+// Timing policy: trace.cc is the only TU outside bench/ that reads a
+// clock — the adhoc-timing lint rule enforces it. Wall times never enter
+// the metrics registry, which stays deterministic.
 #ifndef GELC_OBS_TRACE_H_
 #define GELC_OBS_TRACE_H_
 
@@ -29,6 +38,7 @@
 
 #include "base/status.h"
 #include "obs/config.h"
+#include "obs/timing.h"
 
 namespace gelc {
 namespace obs {
@@ -49,45 +59,47 @@ namespace internal {
 
 constexpr size_t kMaxSpanArgs = 3;
 
-/// Monotonic nanoseconds (steady_clock); only meaningful as differences.
-int64_t NowNs();
-
 /// Records a completed span into the calling thread's ring buffer.
 void RecordSpan(const char* name, int64_t start_ns, int64_t end_ns,
                 uint32_t depth, const SpanArg* args, uint32_t nargs);
 
-/// Current span nesting depth of the calling thread (incremented by live
-/// ScopedSpans).
-uint32_t& ThreadSpanDepth();
-
-/// Constructs the trace collector singleton without registering the exit
-/// exporter. Called from the exporter's constructor so the collector is
-/// always constructed first — and thus destroyed after the export runs.
-void TouchTraceCollector();
-
 }  // namespace internal
 
-/// RAII span: records [construction, destruction) when tracing is
-/// enabled at construction time. Use via GELC_TRACE_SPAN.
-class ScopedSpan {
+/// RAII scope over [construction, destruction): a trace span when
+/// tracing was on at construction, an observation of `series` when
+/// timings were. Use via GELC_OBS_SCOPE; construct one directly only to
+/// call SetArg. Scopes on one thread must close in reverse opening
+/// order, which block scoping guarantees.
+class Scope {
  public:
-  explicit ScopedSpan(const char* name) : ScopedSpan(name, {}) {}
-  ScopedSpan(const char* name, std::initializer_list<SpanArg> args);
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-  ~ScopedSpan();
+  explicit Scope(LatencyHistogram* series,
+                 std::initializer_list<SpanArg> args = {})
+      : traced_(TraceEnabled()), timed_(TimingsEnabled()) {
+    if (traced_ || timed_) Open(series, args);
+  }
+  Scope(const Scope&) = delete;
+  Scope& operator=(const Scope&) = delete;
+  ~Scope() {
+    if (traced_ || timed_) Close();
+  }
 
-  /// Attaches/overwrites an argument before the span closes (for values
-  /// only known at the end of the scope, e.g. colors after a WL round).
+  /// Attaches/overwrites a span argument before the scope closes (for
+  /// values only known at the end, e.g. colors after a WL round).
   /// Silently drops args past the kMaxSpanArgs fixed capacity.
   void SetArg(const char* key, int64_t value);
 
  private:
-  bool active_;
+  void Open(LatencyHistogram* series, std::initializer_list<SpanArg> args);
+  void Close();
+
+  const bool traced_;
+  const bool timed_;
   uint32_t depth_ = 0;
   uint32_t nargs_ = 0;
+  LatencyHistogram* series_ = nullptr;
+  Scope* parent_ = nullptr;  // the scope open around this one, if any
   int64_t start_ns_ = 0;
-  const char* name_ = nullptr;
+  int64_t children_ns_ = 0;  // inclusive ns of the closed direct children
   SpanArg args_[internal::kMaxSpanArgs];
 };
 
@@ -118,10 +130,14 @@ void ResetTraceForTest();
 #define GELC_OBS_CONCAT_INNER_(a, b) a##b
 #define GELC_OBS_CONCAT_(a, b) GELC_OBS_CONCAT_INNER_(a, b)
 
-/// GELC_TRACE_SPAN("name") or GELC_TRACE_SPAN("name", {{"key", v}, ...}):
-/// a scoped span covering the rest of the enclosing block.
-#define GELC_TRACE_SPAN(...)                                        \
-  ::gelc::obs::ScopedSpan GELC_OBS_CONCAT_(gelc_trace_span_,        \
-                                           __LINE__)(__VA_ARGS__)
+/// GELC_OBS_SCOPE("name") or GELC_OBS_SCOPE("name", {{"key", v}, ...}):
+/// a Scope over the rest of the enclosing block, observing the series
+/// registered under "name" (looked up once, cached in a function-local
+/// static).
+#define GELC_OBS_SCOPE(name, ...)                                         \
+  static ::gelc::obs::LatencyHistogram* const GELC_OBS_CONCAT_(          \
+      gelc_obs_series_, __LINE__) = ::gelc::obs::GetLatencyHistogram(name); \
+  ::gelc::obs::Scope GELC_OBS_CONCAT_(gelc_obs_scope_, __LINE__)(         \
+      GELC_OBS_CONCAT_(gelc_obs_series_, __LINE__) __VA_OPT__(, ) __VA_ARGS__)
 
 #endif  // GELC_OBS_TRACE_H_

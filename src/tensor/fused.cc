@@ -7,7 +7,6 @@
 #include "base/logging.h"
 #include "base/parallel.h"
 #include "obs/metrics.h"
-#include "obs/timing.h"
 #include "obs/trace.h"
 #include "tensor/simd.h"
 
@@ -156,10 +155,9 @@ void FusedLayerInto(size_t n, const std::vector<FusedLayerArg>& args,
   calls->Increment();
   rows->Add(n);
   simd::CountDispatch();
-  GELC_TRACE_SPAN("fused_layer", {{"rows", n},
-                                  {"args", args.size()},
-                                  {"out_dim", out_dim}});
-  GELC_OBS_TIME("fused_layer");
+  GELC_OBS_SCOPE("fused_layer", {{"rows", n},
+                                 {"args", args.size()},
+                                 {"out_dim", out_dim}});
   row_work = std::max<size_t>(row_work, 1);
   const size_t work = n * row_work;
   if (work < kFusedSerialWork || n == 0) {
@@ -236,8 +234,7 @@ void FusedGinCombineInto(const CsrMatrix& csr, const Matrix& values, double c,
   static obs::Counter* calls = obs::GetCounter("fused.gin_combine_calls");
   calls->Increment();
   simd::CountDispatch();
-  GELC_TRACE_SPAN("fused_gin_combine", {{"rows", n}, {"d", d}});
-  GELC_OBS_TIME("fused_gin_combine");
+  GELC_OBS_SCOPE("fused_gin_combine", {{"rows", n}, {"d", d}});
   const size_t row_work =
       std::max<size_t>(1, (n == 0 ? 0 : csr.nnz() / n + 1) * d);
   const size_t work = n * row_work;

@@ -6,7 +6,6 @@
 
 #include "base/parallel.h"
 #include "obs/metrics.h"
-#include "obs/timing.h"
 #include "obs/trace.h"
 #include "tensor/simd.h"
 
@@ -107,9 +106,8 @@ void Matrix::MatMulImpl(const Matrix& other, Matrix* out) const {
   flops->Add(2 * work);  // one multiply + one add per (i, k, j) triple
   out_rows->Add(rows_);
   simd::CountDispatch();
-  GELC_TRACE_SPAN("matmul", {{"rows", rows_}, {"inner", inner},
-                             {"ocols", ocols}});
-  GELC_OBS_TIME("matmul");
+  GELC_OBS_SCOPE("matmul", {{"rows", rows_}, {"inner", inner},
+                            {"ocols", ocols}});
   if (work < MatMulSerialWork()) {
     static obs::Counter* serial = obs::GetCounter("matmul.serial_dispatch");
     serial->Increment();

@@ -6,7 +6,6 @@
 #include "base/logging.h"
 #include "base/parallel.h"
 #include "obs/metrics.h"
-#include "obs/timing.h"
 #include "obs/trace.h"
 #include "tensor/simd.h"
 
@@ -116,8 +115,7 @@ void SpMMInto(const CsrMatrix& a, const Matrix& b, Matrix* out) {
   flops->Add(2 * work);  // one multiply + one add per (nnz, j) pair
   out_rows->Add(a.rows);
   simd::CountDispatch();
-  GELC_TRACE_SPAN("spmm", {{"rows", a.rows}, {"nnz", a.nnz()}, {"d", d}});
-  GELC_OBS_TIME("spmm");
+  GELC_OBS_SCOPE("spmm", {{"rows", a.rows}, {"nnz", a.nnz()}, {"d", d}});
   if (work < kSpMMSerialWork || a.rows == 0) {
     static obs::Counter* serial = obs::GetCounter("spmm.serial_dispatch");
     serial->Increment();
@@ -250,9 +248,8 @@ void SpMMDeltaInto(const CsrMatrix& a, const CsrDeltaRows* delta,
   for (size_t v = 0; v < a.rows; ++v) dirty_rows += delta->RowDirty(v) ? 1 : 0;
   dirty->Add(dirty_rows);
   simd::CountDispatch();
-  GELC_TRACE_SPAN("spmm.delta",
-                  {{"rows", a.rows}, {"dirty", dirty_rows}, {"d", d}});
-  GELC_OBS_TIME("spmm.delta");
+  GELC_OBS_SCOPE("spmm.delta",
+                 {{"rows", a.rows}, {"dirty", dirty_rows}, {"d", d}});
   if (work < kSpMMSerialWork || a.rows == 0) {
     row_range(0, a.rows);
     return;

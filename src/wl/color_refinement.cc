@@ -47,8 +47,10 @@ CrColoring RunColorRefinement(const std::vector<const Graph*>& graphs,
   static obs::Counter* rounds_total = obs::GetCounter("wl.cr.rounds");
   static obs::Histogram* rounds_hist = obs::GetHistogram(
       "wl.cr.rounds_to_stable", {1, 2, 4, 8, 16, 32, 64});
+  static obs::LatencyHistogram* round_series =
+      obs::GetLatencyHistogram("wl.round");
   runs->Increment();
-  GELC_TRACE_SPAN("wl.cr", {{"graphs", graphs.size()}});
+  GELC_OBS_SCOPE("wl.cr", {{"graphs", graphs.size()}});
   Interner interner;
   CrColoring out;
   out.stable.resize(graphs.size());
@@ -69,7 +71,7 @@ CrColoring RunColorRefinement(const std::vector<const Graph*>& graphs,
   size_t prev_distinct = CountDistinct(out.stable);
   for (size_t round = 1;; ++round) {
     if (max_rounds >= 0 && round > static_cast<size_t>(max_rounds)) break;
-    obs::ScopedSpan round_span("wl.round", {{"round", round}});
+    obs::Scope round_span(round_series, {{"round", round}});
     std::vector<std::vector<uint64_t>> next(graphs.size());
     for (size_t g = 0; g < graphs.size(); ++g) {
       const Graph& graph = *graphs[g];

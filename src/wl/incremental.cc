@@ -8,7 +8,6 @@
 #include "base/logging.h"
 #include "base/parallel.h"
 #include "obs/metrics.h"
-#include "obs/timing.h"
 #include "obs/trace.h"
 
 namespace gelc {
@@ -75,8 +74,7 @@ void IncrementalColorRefiner::RecountRound(size_t r) {
 void IncrementalColorRefiner::Refresh() {
   static obs::Counter* refreshes = obs::GetCounter("wl.cr.inc.refreshes");
   refreshes->Increment();
-  GELC_OBS_TIME("stream.refine_full");
-  GELC_TRACE_SPAN("wl.cr.inc.refresh", {{"n", g_->num_vertices()}});
+  GELC_OBS_SCOPE("wl.cr.inc.refresh", {{"n", g_->num_vertices()}});
   interner_ = Interner();
   history_.clear();
   class_counts_.clear();
@@ -114,8 +112,7 @@ void IncrementalColorRefiner::Update(const std::vector<VertexId>& touched) {
     last_recolored_ = 0;
     return;
   }
-  GELC_OBS_TIME("stream.refine_update");
-  GELC_TRACE_SPAN("wl.cr.inc.update", {{"touched", touched.size()}});
+  GELC_OBS_SCOPE("wl.cr.inc.update", {{"touched", touched.size()}});
 
   // Round 0 depends only on features, so edge batches never dirty it;
   // the batch endpoints seed round 1's candidate set.

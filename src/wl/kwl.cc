@@ -152,8 +152,10 @@ Result<KwlColoring> RunKwl(const std::vector<const Graph*>& graphs, size_t k,
   static obs::Counter* rounds_total = obs::GetCounter("wl.kwl.rounds");
   static obs::Histogram* rounds_hist = obs::GetHistogram(
       "wl.kwl.rounds_to_stable", {1, 2, 4, 8, 16, 32, 64});
+  static obs::LatencyHistogram* round_series =
+      obs::GetLatencyHistogram("wl.round");
   runs->Increment();
-  GELC_TRACE_SPAN("wl.kwl", {{"k", k}, {"graphs", graphs.size()}});
+  GELC_OBS_SCOPE("wl.kwl", {{"k", k}, {"graphs", graphs.size()}});
   Interner interner;
   KwlColoring out;
   out.k = k;
@@ -168,7 +170,7 @@ Result<KwlColoring> RunKwl(const std::vector<const Graph*>& graphs, size_t k,
   size_t prev_distinct = CountDistinct(out.stable);
   for (size_t round = 1;; ++round) {
     if (max_rounds >= 0 && round > static_cast<size_t>(max_rounds)) break;
-    obs::ScopedSpan round_span("wl.round", {{"round", round}});
+    obs::Scope round_span(round_series, {{"round", round}});
     std::vector<std::vector<uint64_t>> next(graphs.size());
     for (size_t g = 0; g < graphs.size(); ++g) {
       size_t n = graphs[g]->num_vertices();
@@ -245,8 +247,10 @@ Result<KwlColoring> RunObliviousKwl(const std::vector<const Graph*>& graphs,
   static obs::Counter* rounds_total = obs::GetCounter("wl.oblivious_kwl.rounds");
   static obs::Histogram* rounds_hist = obs::GetHistogram(
       "wl.oblivious_kwl.rounds_to_stable", {1, 2, 4, 8, 16, 32, 64});
+  static obs::LatencyHistogram* round_series =
+      obs::GetLatencyHistogram("wl.round");
   runs->Increment();
-  GELC_TRACE_SPAN("wl.oblivious_kwl", {{"k", k}, {"graphs", graphs.size()}});
+  GELC_OBS_SCOPE("wl.oblivious_kwl", {{"k", k}, {"graphs", graphs.size()}});
   Interner interner;
   KwlColoring out;
   out.k = k;
@@ -260,7 +264,7 @@ Result<KwlColoring> RunObliviousKwl(const std::vector<const Graph*>& graphs,
   size_t prev_distinct = CountDistinct(out.stable);
   for (size_t round = 1;; ++round) {
     if (max_rounds >= 0 && round > static_cast<size_t>(max_rounds)) break;
-    obs::ScopedSpan round_span("wl.round", {{"round", round}});
+    obs::Scope round_span(round_series, {{"round", round}});
     std::vector<std::vector<uint64_t>> next(graphs.size());
     for (size_t g = 0; g < graphs.size(); ++g) {
       size_t n = graphs[g]->num_vertices();

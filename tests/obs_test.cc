@@ -1,7 +1,8 @@
 // Tests for the observability library (src/obs): sharded counter
 // correctness under the pool, gauge/histogram semantics, snapshot JSON
-// (including a byte-exact golden), scoped span nesting and the summary
-// tree's exclusive-time math, and the disabled-mode no-op contract.
+// (including a byte-exact golden), scope nesting into spans and latency
+// series, the exclusive-time math of both summaries, and the
+// disabled-mode no-op contract.
 //
 // The registry is process-global, so every test either uses metric names
 // unique to itself or resets the registry first; the pool workers spawned
@@ -126,22 +127,24 @@ TEST(DisabledModeTest, RecordsAreNoOps) {
   obs::ResetEnabledFromEnv();
 }
 
-TEST(DisabledModeTest, SpansAreNoOps) {
+TEST(DisabledModeTest, ScopesAreNoOps) {
   obs::SetTraceEnabled(false);
+  obs::SetTimingsEnabled(false);
   const size_t before = obs::TraceEventCount();
   {
-    GELC_TRACE_SPAN("test.disabled.span", {{"x", 1}});
+    GELC_OBS_SCOPE("test.disabled.scope", {{"x", 1}});
   }
   EXPECT_EQ(obs::TraceEventCount(), before);
+  EXPECT_EQ(obs::GetLatencyHistogram("test.disabled.scope")->TotalCount(), 0u);
   obs::ResetEnabledFromEnv();
 }
 
-TEST(TraceTest, ScopedSpanRecordsNameArgsAndNesting) {
+TEST(TraceTest, ScopeRecordsNameArgsAndNesting) {
   obs::ResetTraceForTest();
   obs::SetTraceEnabled(true);
   {
-    GELC_TRACE_SPAN("test.outer", {{"x", 7}});
-    { GELC_TRACE_SPAN("test.inner"); }
+    GELC_OBS_SCOPE("test.outer", {{"x", 7}});
+    { GELC_OBS_SCOPE("test.inner"); }
   }
   obs::SetTraceEnabled(false);
   EXPECT_EQ(obs::TraceEventCount(), 2u);
@@ -162,7 +165,7 @@ TEST(TraceTest, SetArgAttachesAndOverwrites) {
   obs::ResetTraceForTest();
   obs::SetTraceEnabled(true);
   {
-    obs::ScopedSpan span("test.setarg", {{"colors", 0}});
+    obs::Scope span(obs::GetLatencyHistogram("test.setarg"), {{"colors", 0}});
     span.SetArg("colors", 42);       // overwrite by key
     span.SetArg("extra", 9);         // append
   }
@@ -177,7 +180,7 @@ TEST(TraceTest, SetArgAttachesAndOverwrites) {
 TEST(TraceTest, SummaryExclusiveTimeSubtractsDirectChildren) {
   obs::ResetTraceForTest();
   // Synthetic events with exact nanosecond durations (RecordSpan is the
-  // layer under ScopedSpan, so the math is tested deterministically).
+  // layer under Scope, so the math is tested deterministically).
   // Ring buffers record in end order: children complete first.
   obs::internal::RecordSpan("child", 1'000'000, 3'000'000, 1, nullptr, 0);
   obs::internal::RecordSpan("root", 0, 5'000'000, 0, nullptr, 0);
@@ -322,21 +325,20 @@ TEST(SnapshotTest, TimingsKeyOmittedWhenEmptyAndEscaped) {
 }
 
 // --------------------------------------------------------------------------
-// Timing plane (ISSUE 9 tentpole): latency histogram bucket geometry,
-// quantiles, sharded concurrency, the scoped-timer macro, and the
+// Timing plane: latency histogram bucket geometry, quantiles, sharded
+// concurrency, scopes feeding both planes with exclusive time, and the
 // two-plane separation contract.
 // --------------------------------------------------------------------------
 
 TEST(LatencyHistogramTest, BucketGeometry) {
-  const std::vector<int64_t>& bounds = obs::LatencyHistogram::BucketBounds();
-  ASSERT_FALSE(bounds.empty());
+  const auto& bounds = obs::LatencyHistogram::BucketBounds();
   // Strictly ascending, starting 1,2,3,4,5,... ending at 2^36 ns.
   for (size_t i = 1; i < bounds.size(); ++i) {
     EXPECT_LT(bounds[i - 1], bounds[i]);
   }
   EXPECT_EQ(bounds[0], 1);
   EXPECT_EQ(bounds.back(), int64_t{1} << 36);
-  EXPECT_EQ(obs::LatencyHistogram::NumBuckets(), bounds.size() + 1);
+  EXPECT_EQ(obs::LatencyHistogram::kNumBuckets, bounds.size() + 1);
   // Log-spaced: relative step stays <= 25% past the exact range.
   for (size_t i = 4; i < bounds.size(); ++i) {
     EXPECT_LE(bounds[i] - bounds[i - 1], (bounds[i - 1] + 3) / 4)
@@ -346,7 +348,7 @@ TEST(LatencyHistogramTest, BucketGeometry) {
 
 TEST(LatencyHistogramTest, BucketIndexEdges) {
   using LH = obs::LatencyHistogram;
-  const std::vector<int64_t>& bounds = LH::BucketBounds();
+  const auto& bounds = LH::BucketBounds();
   // Underflow: negatives and 0 share the first bucket with 1.
   EXPECT_EQ(LH::BucketIndex(-7), 0u);
   EXPECT_EQ(LH::BucketIndex(0), 0u);
@@ -367,7 +369,7 @@ TEST(LatencyHistogramTest, BucketIndexEdges) {
 
 TEST(LatencyHistogramTest, QuantileInterpolatesWithinLandingBucket) {
   using LH = obs::LatencyHistogram;
-  std::vector<uint64_t> counts(LH::NumBuckets(), 0);
+  std::vector<uint64_t> counts(LH::kNumBuckets, 0);
   EXPECT_EQ(LH::QuantileNs(counts, 0.5), 0.0);  // empty
   // All mass in the (8, 10] bucket: every quantile stays inside it.
   counts[LH::BucketIndex(9)] = 100;
@@ -378,7 +380,7 @@ TEST(LatencyHistogramTest, QuantileInterpolatesWithinLandingBucket) {
   }
   // Mass split across two buckets: the median falls in the first, the
   // p99 in the second.
-  std::vector<uint64_t> split(LH::NumBuckets(), 0);
+  std::vector<uint64_t> split(LH::kNumBuckets, 0);
   split[LH::BucketIndex(2)] = 60;
   split[LH::BucketIndex(100)] = 40;
   EXPECT_LE(LH::QuantileNs(split, 0.5), 2.0);
@@ -387,8 +389,8 @@ TEST(LatencyHistogramTest, QuantileInterpolatesWithinLandingBucket) {
   EXPECT_GT(p99, 96.0);
   EXPECT_LE(p99, 112.0);
   // Overflow-only mass reports the last bound (no upper edge to lerp to).
-  std::vector<uint64_t> over(LH::NumBuckets(), 0);
-  over[LH::NumBuckets() - 1] = 10;
+  std::vector<uint64_t> over(LH::kNumBuckets, 0);
+  over[LH::kNumBuckets - 1] = 10;
   EXPECT_EQ(LH::QuantileNs(over, 0.5),
             static_cast<double>(LH::BucketBounds().back()));
 }
@@ -396,7 +398,7 @@ TEST(LatencyHistogramTest, QuantileInterpolatesWithinLandingBucket) {
 TEST(LatencyHistogramTest, DisabledObserveIsANoOp) {
   obs::SetTimingsEnabled(false);
   obs::LatencyHistogram* h = obs::GetLatencyHistogram("test.lat.disabled");
-  h->Observe(100);
+  h->Observe(100, 100);
   EXPECT_EQ(h->TotalCount(), 0u);
   EXPECT_EQ(h->SumNs(), 0);
   obs::ResetEnabledFromEnv();
@@ -405,17 +407,19 @@ TEST(LatencyHistogramTest, DisabledObserveIsANoOp) {
 TEST(LatencyHistogramTest, ObserveRecordsAndNegativeClampsSum) {
   ScopedTimingsOn timings_on;
   obs::LatencyHistogram* h = obs::GetLatencyHistogram("test.lat.basic");
-  h->Observe(9);
-  h->Observe(9);
-  h->Observe(-3);  // lands in bucket 0; the sum clamps the negative to 0
+  h->Observe(9, 9);
+  h->Observe(9, 5);
+  h->Observe(-3, -3);  // lands in bucket 0; the sums clamp negatives to 0
   EXPECT_EQ(h->TotalCount(), 3u);
   EXPECT_EQ(h->SumNs(), 18);
+  EXPECT_EQ(h->ExclusiveSumNs(), 14);
   std::vector<uint64_t> counts = h->Counts();
   EXPECT_EQ(counts[obs::LatencyHistogram::BucketIndex(9)], 2u);
   EXPECT_EQ(counts[0], 1u);
   h->Reset();
   EXPECT_EQ(h->TotalCount(), 0u);
   EXPECT_EQ(h->SumNs(), 0);
+  EXPECT_EQ(h->ExclusiveSumNs(), 0);
 }
 
 TEST(LatencyHistogramTest, ShardedObservesMergeExactlyUnderPool) {
@@ -424,27 +428,70 @@ TEST(LatencyHistogramTest, ShardedObservesMergeExactlyUnderPool) {
   obs::LatencyHistogram* h = obs::GetLatencyHistogram("test.lat.sharded");
   constexpr size_t kPerShard = 20000;
   ParallelFor(0, 4 * kPerShard, kPerShard, [h](size_t b, size_t e) {
-    for (size_t i = b; i < e; ++i) h->Observe(static_cast<int64_t>(i % 64));
+    for (size_t i = b; i < e; ++i) {
+      h->Observe(static_cast<int64_t>(i % 64), static_cast<int64_t>(i % 64));
+    }
   });
   EXPECT_EQ(h->TotalCount(), 4 * kPerShard);
 }
 
-TEST(ScopedTimerTest, MacroRecordsOneObservationPerScope) {
+TEST(ScopeTest, MacroRecordsOneObservationPerScope) {
   ScopedTimingsOn timings_on;
   obs::LatencyHistogram* h = obs::GetLatencyHistogram("test.lat.scoped");
   const uint64_t before = h->TotalCount();
   for (int i = 0; i < 3; ++i) {
-    GELC_OBS_TIME("test.lat.scoped");
+    GELC_OBS_SCOPE("test.lat.scoped");
   }
   EXPECT_EQ(h->TotalCount(), before + 3);
   EXPECT_GE(h->SumNs(), 0);
+}
+
+TEST(ScopeTest, OneSiteFeedsTraceAndTiming) {
+  ScopedTimingsOn timings_on;
+  obs::SetTraceEnabled(true);
+  obs::ResetTraceForTest();
+  obs::LatencyHistogram* h = obs::GetLatencyHistogram("test.both");
+  { GELC_OBS_SCOPE("test.both", {{"x", 3}}); }
+  obs::SetTraceEnabled(false);
+  EXPECT_EQ(h->TotalCount(), 1u);
+  EXPECT_EQ(obs::TraceEventCount(), 1u);
+  EXPECT_NE(obs::TraceJson().find("\"name\": \"test.both\""),
+            std::string::npos);
+  obs::ResetTraceForTest();
+  obs::ResetEnabledFromEnv();
+}
+
+TEST(ScopeTest, ExclusiveSumsEqualOuterInclusive) {
+  ScopedTimingsOn timings_on;
+  obs::ResetTimingsForTest();
+  {
+    GELC_OBS_SCOPE("nest.outer");
+    for (int i = 0; i < 3; ++i) {
+      GELC_OBS_SCOPE("nest.mid");
+      { GELC_OBS_SCOPE("nest.leaf"); }
+      { GELC_OBS_SCOPE("other.leaf"); }
+    }
+  }
+  // Each nanosecond inside the outer scope is exclusive to exactly one
+  // scope, so the exclusive sums over every series telescope to the
+  // outer scope's inclusive time.
+  int64_t exclusive = 0;
+  for (const obs::LatencySample& s : obs::TimingSnapshot()) {
+    EXPECT_LE(s.exclusive_ns, s.sum_ns) << s.name;
+    exclusive += s.exclusive_ns;
+  }
+  obs::LatencyHistogram* outer = obs::GetLatencyHistogram("nest.outer");
+  ASSERT_EQ(outer->TotalCount(), 1u);
+  EXPECT_EQ(exclusive, outer->SumNs());
+  EXPECT_EQ(obs::GetLatencyHistogram("nest.leaf")->ExclusiveSumNs(),
+            obs::GetLatencyHistogram("nest.leaf")->SumNs());
 }
 
 TEST(TimingSnapshotTest, CarriesPercentilesAndSummarizes) {
   ScopedTimingsOn timings_on;
   obs::ResetTimingsForTest();
   obs::LatencyHistogram* h = obs::GetLatencyHistogram("phasea.step");
-  for (int i = 0; i < 100; ++i) h->Observe(9);
+  for (int i = 0; i < 100; ++i) h->Observe(9, 9);
   std::vector<obs::LatencySample> samples = obs::TimingSnapshot();
   ASSERT_EQ(samples.size(), 1u);
   EXPECT_EQ(samples[0].name, "phasea.step");
@@ -456,8 +503,22 @@ TEST(TimingSnapshotTest, CarriesPercentilesAndSummarizes) {
   // The summary mentions the series and its phase rollup.
   std::string summary = obs::TimingSummaryText();
   EXPECT_NE(summary.find("phasea.step"), std::string::npos);
-  EXPECT_NE(summary.find("phase rollup:"), std::string::npos);
+  EXPECT_NE(summary.find("phase rollup (exclusive ms):"), std::string::npos);
   EXPECT_NE(summary.find("  phasea"), std::string::npos);
+}
+
+TEST(TimingSnapshotTest, RollupSumsExclusiveTime) {
+  ScopedTimingsOn timings_on;
+  obs::ResetTimingsForTest();
+  // A 5ms outer scope with a 3ms child inside it: the phase took 5ms,
+  // not the 8ms the inclusive sums add up to.
+  obs::GetLatencyHistogram("phaseb.outer")->Observe(5'000'000, 2'000'000);
+  obs::GetLatencyHistogram("phaseb.inner")->Observe(3'000'000, 3'000'000);
+  std::string summary = obs::TimingSummaryText();
+  std::string rollup = summary.substr(summary.find("phase rollup"));
+  EXPECT_NE(rollup.find("  phaseb"), std::string::npos);
+  EXPECT_NE(rollup.find("5.000"), std::string::npos);
+  EXPECT_EQ(rollup.find("8.000"), std::string::npos);
 }
 
 TEST(TimingSnapshotTest, TwoPlaneSeparationIsByteExact) {
@@ -478,7 +539,7 @@ TEST(TimingSnapshotTest, TwoPlaneSeparationIsByteExact) {
     ScopedTimingsOn timings_on;
     run_work();
     {
-      GELC_OBS_TIME("test.plane.timer");
+      GELC_OBS_SCOPE("test.plane.timer");
     }
     obs::StatsSnapshot on_snap = obs::Snapshot();
     EXPECT_FALSE(on_snap.timings.empty());
