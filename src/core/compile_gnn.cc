@@ -34,86 +34,6 @@ Result<ExprPtr> InputExpr(size_t input_dim, Var v) {
   return Expr::Apply(std::move(concat), std::move(labels));
 }
 
-// Shared builder: layers expressed as self/agg weight pairs.
-struct LinearLayerSpec {
-  Matrix w1, w2, b;
-  Activation act;
-};
-
-class LayerwiseCompiler {
- public:
-  LayerwiseCompiler(size_t input_dim, std::vector<LinearLayerSpec> layers)
-      : input_dim_(input_dim), layers_(std::move(layers)) {}
-
-  // ϕ^(t) with free variable v; the aggregate binds the other variable.
-  Result<ExprPtr> Build(size_t t, Var v) {
-    auto key = std::make_pair(t, v);
-    auto it = memo_.find(key);
-    if (it != memo_.end()) return it->second;
-    ExprPtr result;
-    if (t == 0) {
-      GELC_ASSIGN_OR_RETURN(result, InputExpr(input_dim_, v));
-    } else {
-      const LinearLayerSpec& spec = layers_[t - 1];
-      Var other = (v == 0) ? 1 : 0;
-      GELC_ASSIGN_OR_RETURN(ExprPtr self, Build(t - 1, v));
-      GELC_ASSIGN_OR_RETURN(ExprPtr nbr, Build(t - 1, other));
-      size_t d_in = self->dim();
-      GELC_ASSIGN_OR_RETURN(ExprPtr guard, Expr::Edge(v, other));
-      GELC_ASSIGN_OR_RETURN(
-          ExprPtr agg, Expr::Aggregate(theta::Sum(d_in), VarBit(other),
-                                       std::move(nbr), std::move(guard)));
-      GELC_ASSIGN_OR_RETURN(
-          OmegaPtr lin, omega::Linear({d_in, d_in}, StackRows(spec.w1,
-                                                              spec.w2),
-                                      spec.b));
-      GELC_ASSIGN_OR_RETURN(
-          ExprPtr pre, Expr::Apply(std::move(lin),
-                                   {std::move(self), std::move(agg)}));
-      GELC_ASSIGN_OR_RETURN(
-          result, Expr::Apply(omega::ActivationFn(spec.act, spec.b.cols()),
-                              {std::move(pre)}));
-    }
-    memo_.emplace(key, result);
-    return result;
-  }
-
- private:
-  size_t input_dim_;
-  std::vector<LinearLayerSpec> layers_;
-  std::map<std::pair<size_t, Var>, ExprPtr> memo_;
-};
-
-}  // namespace
-
-Result<ExprPtr> CompileGnn101ToGel(const Gnn101Model& model) {
-  std::vector<LinearLayerSpec> specs;
-  for (const Gnn101Layer& l : model.layers()) {
-    specs.push_back({l.w1, l.w2, l.b, l.act});
-  }
-  LayerwiseCompiler compiler(model.input_dim(), std::move(specs));
-  return compiler.Build(model.num_layers(), /*v=*/0);
-}
-
-Result<ExprPtr> CompileGnn101GraphToGel(const Gnn101Model& model) {
-  if (!model.has_readout()) {
-    return Status::FailedPrecondition("model has no readout");
-  }
-  GELC_ASSIGN_OR_RETURN(ExprPtr vertex, CompileGnn101ToGel(model));
-  size_t d = vertex->dim();
-  GELC_ASSIGN_OR_RETURN(
-      ExprPtr pooled,
-      Expr::Aggregate(theta::Sum(d), VarBit(0), std::move(vertex), nullptr));
-  const Gnn101Readout& r = model.readout();
-  GELC_ASSIGN_OR_RETURN(OmegaPtr lin, omega::Linear({d}, r.w, r.b));
-  GELC_ASSIGN_OR_RETURN(ExprPtr lin_e,
-                        Expr::Apply(std::move(lin), {std::move(pooled)}));
-  return Expr::Apply(omega::ActivationFn(r.act, r.w.cols()),
-                     {std::move(lin_e)});
-}
-
-namespace {
-
 ThetaPtr ThetaFor(Aggregation agg, size_t d) {
   switch (agg) {
     case Aggregation::kSum:
@@ -177,7 +97,48 @@ class GenericLayerCompiler {
   std::map<std::pair<size_t, Var>, ExprPtr> memo_;
 };
 
+// act(linear(concat(self, agg))) with the stacked weight w and bias b —
+// the update of GNN-101 and GraphSAGE layers.
+Result<ExprPtr> LinearUpdate(ExprPtr self, ExprPtr agg, const Matrix& w,
+                             const Matrix& b, Activation act) {
+  size_t d_in = self->dim();
+  GELC_ASSIGN_OR_RETURN(OmegaPtr lin, omega::Linear({d_in, d_in}, w, b));
+  GELC_ASSIGN_OR_RETURN(
+      ExprPtr pre,
+      Expr::Apply(std::move(lin), {std::move(self), std::move(agg)}));
+  return Expr::Apply(omega::ActivationFn(act, b.cols()), {std::move(pre)});
+}
+
 }  // namespace
+
+Result<ExprPtr> CompileGnn101ToGel(const Gnn101Model& model) {
+  GenericLayerCompiler compiler(
+      model.input_dim(), model.num_layers(),
+      [](size_t, size_t d) { return theta::Sum(d); },
+      [&model](size_t layer, ExprPtr self, ExprPtr agg) -> Result<ExprPtr> {
+        const Gnn101Layer& l = model.layers()[layer];
+        return LinearUpdate(std::move(self), std::move(agg),
+                            StackRows(l.w1, l.w2), l.b, l.act);
+      });
+  return compiler.BuildAll();
+}
+
+Result<ExprPtr> CompileGnn101GraphToGel(const Gnn101Model& model) {
+  if (!model.has_readout()) {
+    return Status::FailedPrecondition("model has no readout");
+  }
+  GELC_ASSIGN_OR_RETURN(ExprPtr vertex, CompileGnn101ToGel(model));
+  size_t d = vertex->dim();
+  GELC_ASSIGN_OR_RETURN(
+      ExprPtr pooled,
+      Expr::Aggregate(theta::Sum(d), VarBit(0), std::move(vertex), nullptr));
+  const Gnn101Readout& r = model.readout();
+  GELC_ASSIGN_OR_RETURN(OmegaPtr lin, omega::Linear({d}, r.w, r.b));
+  GELC_ASSIGN_OR_RETURN(ExprPtr lin_e,
+                        Expr::Apply(std::move(lin), {std::move(pooled)}));
+  return Expr::Apply(omega::ActivationFn(r.act, r.w.cols()),
+                     {std::move(lin_e)});
+}
 
 Result<ExprPtr> CompileMpnnToGel(const MpnnModel& model) {
   GenericLayerCompiler compiler(
@@ -218,61 +179,29 @@ Result<ExprPtr> CompileGraphSageToGel(const GraphSageModel& model) {
       [](size_t, size_t d) { return theta::Mean(d); },
       [&model](size_t layer, ExprPtr self, ExprPtr agg) -> Result<ExprPtr> {
         const GraphSageModel::Layer& l = model.layers()[layer];
-        size_t d_in = self->dim();
-        GELC_ASSIGN_OR_RETURN(OmegaPtr lin,
-                              omega::Linear({d_in, d_in}, l.w, l.b));
-        GELC_ASSIGN_OR_RETURN(
-            ExprPtr pre,
-            Expr::Apply(std::move(lin), {std::move(self), std::move(agg)}));
-        return Expr::Apply(omega::ActivationFn(l.act, l.w.cols()),
-                           {std::move(pre)});
+        return LinearUpdate(std::move(self), std::move(agg), l.w, l.b, l.act);
       });
   return compiler.BuildAll();
 }
 
 Result<ExprPtr> CompileGinToGel(const GinModel& model) {
-  // Build recursively with a memo over (layer, variable), mirroring
-  // LayerwiseCompiler but with the GIN combine (1+eps)*self + Σ nbr.
-  struct GinCompiler {
-    const GinModel& model;
-    std::map<std::pair<size_t, Var>, ExprPtr> memo;
-
-    Result<ExprPtr> Build(size_t t, Var v) {
-      auto key = std::make_pair(t, v);
-      auto it = memo.find(key);
-      if (it != memo.end()) return it->second;
-      ExprPtr result;
-      if (t == 0) {
-        GELC_ASSIGN_OR_RETURN(result, InputExpr(model.input_dim(), v));
-      } else {
-        const GinLayer& layer = model.layers()[t - 1];
-        Var other = (v == 0) ? 1 : 0;
-        GELC_ASSIGN_OR_RETURN(ExprPtr self, Build(t - 1, v));
-        GELC_ASSIGN_OR_RETURN(ExprPtr nbr, Build(t - 1, other));
+  GenericLayerCompiler compiler(
+      model.input_dim(), model.layers().size(),
+      [](size_t, size_t d) { return theta::Sum(d); },
+      [&model](size_t layer, ExprPtr self, ExprPtr agg) -> Result<ExprPtr> {
+        // The GIN combine: mlp((1 + eps) * self + Σ nbr).
+        const GinLayer& l = model.layers()[layer];
         size_t d_in = self->dim();
-        GELC_ASSIGN_OR_RETURN(ExprPtr guard, Expr::Edge(v, other));
-        GELC_ASSIGN_OR_RETURN(
-            ExprPtr agg, Expr::Aggregate(theta::Sum(d_in), VarBit(other),
-                                         std::move(nbr), std::move(guard)));
         GELC_ASSIGN_OR_RETURN(
             ExprPtr scaled,
-            Expr::Apply(omega::Scale(1.0 + layer.eps, d_in),
-                        {std::move(self)}));
+            Expr::Apply(omega::Scale(1.0 + l.eps, d_in), {std::move(self)}));
         GELC_ASSIGN_OR_RETURN(
             ExprPtr combined,
-            Expr::Apply(omega::Add(d_in), {std::move(scaled),
-                                           std::move(agg)}));
-        GELC_ASSIGN_OR_RETURN(OmegaPtr mlp_fn,
-                              omega::FromMlp({d_in}, layer.mlp));
-        GELC_ASSIGN_OR_RETURN(
-            result, Expr::Apply(std::move(mlp_fn), {std::move(combined)}));
-      }
-      memo.emplace(key, result);
-      return result;
-    }
-  };
-  GinCompiler compiler{model, {}};
-  return compiler.Build(model.layers().size(), /*v=*/0);
+            Expr::Apply(omega::Add(d_in), {std::move(scaled), std::move(agg)}));
+        GELC_ASSIGN_OR_RETURN(OmegaPtr mlp_fn, omega::FromMlp({d_in}, l.mlp));
+        return Expr::Apply(std::move(mlp_fn), {std::move(combined)});
+      });
+  return compiler.BuildAll();
 }
 
 }  // namespace gelc

@@ -1,6 +1,8 @@
 #include "core/parser.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <vector>
 
@@ -60,6 +62,11 @@ class Lexer {
           return Status::IOError("stray character '" + std::string(1, c) +
                                  "' at position " + std::to_string(i));
         }
+        if (!std::isfinite(value)) {
+          return Status::IOError("number '" + text_.substr(i, consumed) +
+                                 "' at position " + std::to_string(i) +
+                                 " is not finite");
+        }
         out.push_back({Token::Kind::kNumber,
                        text_.substr(i, consumed), value, i});
         i += consumed;
@@ -90,6 +97,11 @@ class Lexer {
 // ---------------------------------------------------------------------------
 // Parser (recursive descent)
 // ---------------------------------------------------------------------------
+
+// Deepest expression nesting accepted. Parsing recurses once per level,
+// and so do evaluation, printing and destruction of the tree, so the
+// bound keeps hostile input from overflowing the stack.
+constexpr size_t kMaxNestingDepth = 256;
 
 class Parser {
  public:
@@ -151,6 +163,17 @@ class Parser {
   }
 
   Result<ExprPtr> ParseExprRule() {
+    if (depth_ == kMaxNestingDepth) {
+      return Err("expression nested deeper than " +
+                 std::to_string(kMaxNestingDepth) + " levels");
+    }
+    ++depth_;
+    Result<ExprPtr> e = ParseExprBody();
+    --depth_;
+    return e;
+  }
+
+  Result<ExprPtr> ParseExprBody() {
     const Token& t = Peek();
     if (t.kind == Token::Kind::kSymbol && t.text == "[") {
       return ParseConst();
@@ -216,7 +239,9 @@ class Parser {
         return Err("malformed label atom");
       }
     }
+    errno = 0;
     size_t index = std::strtoul(t.c_str() + 3, nullptr, 10);
+    if (errno == ERANGE) return Err("label index out of range");
     Advance();
     GELC_RETURN_NOT_OK(ExpectSymbol("("));
     GELC_ASSIGN_OR_RETURN(Var v, ParseVar());
@@ -335,6 +360,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  size_t depth_ = 0;  // ParseExprRule calls open on the stack
 };
 
 }  // namespace

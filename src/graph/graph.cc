@@ -200,8 +200,11 @@ void Graph::EnsureCsrBase() const {
 const CsrGraph& Graph::Csr() const {
   if (csr_ == nullptr) {
     EnsureCsrBase();
-  } else if (!adj_delta_.empty()) {
-    CompactCsr();  // fold the pending delta so the snapshot is exact
+  } else if (csr_->epoch() != mutation_epoch_) {
+    // Fold the pending delta so the snapshot is exact. An empty delta
+    // (edits that cancelled out) still gets a snapshot at the current
+    // epoch, so staleness checks see it as fresh.
+    CompactCsr();
   } else {
     static obs::Counter* hits = obs::GetCounter("graph.csr_cache.hits");
     hits->Increment();

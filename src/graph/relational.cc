@@ -1,9 +1,7 @@
 #include "graph/relational.h"
 
 #include <algorithm>
-#include <cstring>
 
-#include "base/hash.h"
 #include "base/logging.h"
 #include "tensor/ops.h"
 
@@ -103,76 +101,6 @@ Result<RelationalGraph> RelationalGraph::Permuted(
   for (size_t u = 0; u < n_; ++u)
     out.features_.SetRow(perm[u], features_.Row(u));
   return out;
-}
-
-std::vector<uint64_t> RelationalCrColoring::GraphSignature(size_t g) const {
-  std::vector<uint64_t> sig = stable[g];
-  std::sort(sig.begin(), sig.end());
-  return sig;
-}
-
-RelationalCrColoring RunRelationalColorRefinement(
-    const std::vector<const RelationalGraph*>& graphs, int max_rounds) {
-  Interner interner;
-  RelationalCrColoring out;
-  out.stable.resize(graphs.size());
-
-  auto feature_sig = [](const RelationalGraph& g, size_t v) {
-    std::string buf(g.feature_dim() * sizeof(double), '\0');
-    for (size_t j = 0; j < g.feature_dim(); ++j) {
-      double x = g.features().At(v, j);
-      std::memcpy(buf.data() + j * sizeof(double), &x, sizeof(double));
-    }
-    return buf;
-  };
-  for (size_t g = 0; g < graphs.size(); ++g) {
-    out.stable[g].resize(graphs[g]->num_vertices());
-    for (size_t v = 0; v < graphs[g]->num_vertices(); ++v)
-      out.stable[g][v] = interner.Intern(feature_sig(*graphs[g], v));
-  }
-
-  auto count_distinct = [](const std::vector<std::vector<uint64_t>>& cs) {
-    std::vector<uint64_t> all;
-    for (const auto& c : cs) all.insert(all.end(), c.begin(), c.end());
-    std::sort(all.begin(), all.end());
-    all.erase(std::unique(all.begin(), all.end()), all.end());
-    return all.size();
-  };
-
-  size_t prev_distinct = count_distinct(out.stable);
-  for (size_t round = 1;; ++round) {
-    if (max_rounds >= 0 && round > static_cast<size_t>(max_rounds)) break;
-    std::vector<std::vector<uint64_t>> next(graphs.size());
-    for (size_t g = 0; g < graphs.size(); ++g) {
-      const RelationalGraph& graph = *graphs[g];
-      next[g].resize(graph.num_vertices());
-      for (size_t v = 0; v < graph.num_vertices(); ++v) {
-        std::vector<uint64_t> sig;
-        sig.push_back(out.stable[g][v]);
-        for (size_t r = 0; r < graph.num_relations(); ++r) {
-          std::vector<uint64_t> nb;
-          for (VertexId u : graph.Neighbors(r, static_cast<VertexId>(v)))
-            nb.push_back(out.stable[g][u]);
-          std::sort(nb.begin(), nb.end());
-          sig.push_back(~uint64_t{0});  // relation separator
-          sig.insert(sig.end(), nb.begin(), nb.end());
-        }
-        next[g][v] = interner.InternWords(sig);
-      }
-    }
-    size_t distinct = count_distinct(next);
-    out.stable = std::move(next);
-    out.rounds = round;
-    if (distinct == prev_distinct) break;
-    prev_distinct = distinct;
-  }
-  return out;
-}
-
-bool RelationalCrEquivalent(const RelationalGraph& a,
-                            const RelationalGraph& b) {
-  RelationalCrColoring c = RunRelationalColorRefinement({&a, &b});
-  return c.GraphSignature(0) == c.GraphSignature(1);
 }
 
 RelationalGnn::RelationalGnn(std::vector<Layer> layers, size_t num_relations)

@@ -3,11 +3,11 @@
 // Barceló-Galkin-Morris-Orth, "Weisfeiler and Leman Go Relational").
 //
 // A relational graph has R edge relations E_1, ..., E_R over one vertex
-// set. Relational color refinement refines by the PER-RELATION neighbor
-// color multisets; a relational GNN-101 has one weight matrix per
-// relation. The key phenomenon (exercised by tests and bench_e19):
-// collapsing the relations into one edge set loses separation power —
-// relational CR is strictly finer than CR on the union graph.
+// set. Relational color refinement (wl/color_refinement.h) refines by the
+// PER-RELATION neighbor color multisets; a relational GNN-101 has one
+// weight matrix per relation. The key phenomenon (exercised by tests and
+// bench_e19): collapsing the relations into one edge set loses separation
+// power — relational CR is strictly finer than CR on the union graph.
 #ifndef GELC_GRAPH_RELATIONAL_H_
 #define GELC_GRAPH_RELATIONAL_H_
 
@@ -54,22 +54,6 @@ class RelationalGraph {
   std::vector<std::vector<std::vector<VertexId>>> relations_;
   Matrix features_;
 };
-
-/// Relational color refinement: vertex signatures include one neighbor
-/// color multiset PER relation. Returns stable colors per graph (jointly
-/// interned across the supplied graphs) — the relational 1-WL of
-/// slide 74's reference.
-struct RelationalCrColoring {
-  std::vector<std::vector<uint64_t>> stable;
-  size_t rounds = 0;
-  std::vector<uint64_t> GraphSignature(size_t g) const;
-};
-RelationalCrColoring RunRelationalColorRefinement(
-    const std::vector<const RelationalGraph*>& graphs, int max_rounds = -1);
-
-/// Graph-level relational-CR equivalence.
-bool RelationalCrEquivalent(const RelationalGraph& a,
-                            const RelationalGraph& b);
 
 /// A relational GNN-101: F' = act(F W_0 + Σ_r A_r F W_r + b), one
 /// message matrix per relation (R-GCN flavoured, slide 74).

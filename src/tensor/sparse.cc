@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 
+#include "base/aligned.h"
 #include "base/logging.h"
 #include "base/parallel.h"
 #include "obs/metrics.h"
@@ -217,10 +218,13 @@ void SpMMDeltaInto(const CsrMatrix& a, const CsrDeltaRows* delta,
   // base storage through the dispatched kernel and each dirty row is
   // merged into scratch and pushed through the same kernel as a one-row
   // CSR — so every output row sees the exact column sequence the
-  // compacted matrix would present, in every tier.
+  // compacted matrix would present, in every tier. The kernel wants an
+  // aligned output, which row r of `out` is not in general, so a dirty
+  // row lands in an aligned zeroed row first and is copied out.
   auto row_range = [offsets, cols, delta, &a, bdata, odata, d](
                        size_t row_begin, size_t row_end) {
     std::vector<uint32_t> scratch;
+    AlignedVector row(d);
     size_t r = row_begin;
     while (r < row_end) {
       if (!delta->RowDirty(r)) {
@@ -231,8 +235,10 @@ void SpMMDeltaInto(const CsrMatrix& a, const CsrDeltaRows* delta,
       } else {
         MergeDeltaRow(a, *delta, r, &scratch);
         const size_t one_row[2] = {0, scratch.size()};
-        simd::SpMMRows(one_row, scratch.data(), nullptr, bdata,
-                       odata + r * d, 0, 1, d);
+        std::fill(row.begin(), row.end(), 0.0);
+        simd::SpMMRows(one_row, scratch.data(), nullptr, bdata, row.data(),
+                       0, 1, d);
+        std::copy(row.begin(), row.end(), odata + r * d);
         ++r;
       }
     }

@@ -12,25 +12,20 @@
 #define GELC_WL_COLOR_REFINEMENT_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "graph/graph.h"
+#include "wl/refine.h"
 
 namespace gelc {
 
-/// Result of refining a set of graphs jointly until stability.
-struct CrColoring {
-  /// stable[g][v] = canonical stable color of vertex v in graph g.
-  std::vector<std::vector<uint64_t>> stable;
-  /// history[r][g][v] = color after round r (round 0 = initial labels).
-  std::vector<std::vector<std::vector<uint64_t>>> history;
-  /// Number of refinement rounds run until stability.
-  size_t rounds = 0;
+class RelationalGraph;
 
-  /// Sorted multiset of stable colors of graph g (the graph's CR
-  /// signature, slide 50: "a graph gets a color based on the multiset of
-  /// colors of all its vertices").
-  std::vector<uint64_t> GraphSignature(size_t g) const;
+/// Result of refining a set of graphs jointly until stability.
+struct CrColoring : WlColoring {
+  /// history[r][g][v] = color after round r (round 0 = initial labels).
+  std::vector<Colorings> history;
 };
 
 /// Runs color refinement jointly on `graphs` until the joint partition is
@@ -51,6 +46,29 @@ bool CrEquivalentVertices(const Graph& a, VertexId u, const Graph& b,
 /// Number of distinct stable colors of a single graph (its CR partition
 /// size); equals n iff CR discretizes the graph.
 size_t CrPartitionSize(const Graph& g);
+
+/// Round signature of vertex v of g from the previous round's colors
+/// `prev`: v's own color, then its out-neighbors' colors sorted. `words`
+/// is scratch.
+std::string CrSignature(const Graph& g, const std::vector<uint64_t>& prev,
+                        VertexId v, std::vector<uint64_t>* words);
+
+/// Runs the shared refinement loop (wl/refine.h) with the CR signature:
+/// colors[g] belongs to graphs[g].
+size_t RefineCr(const std::vector<const Graph*>& graphs, int max_rounds,
+                Interner* interner, Colorings* colors,
+                std::vector<Colorings>* history);
+
+/// Relational color refinement (slide 74, Barceló-Galkin-Morris-Orth):
+/// a vertex's signature holds one neighbor-color multiset PER relation,
+/// so it is strictly finer than CR on the collapsed graph. Colors are
+/// interned jointly across the supplied graphs.
+CrColoring RunRelationalColorRefinement(
+    const std::vector<const RelationalGraph*>& graphs, int max_rounds = -1);
+
+/// Graph-level relational-CR equivalence.
+bool RelationalCrEquivalent(const RelationalGraph& a,
+                            const RelationalGraph& b);
 
 }  // namespace gelc
 

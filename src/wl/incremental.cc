@@ -1,45 +1,15 @@
 #include "wl/incremental.h"
 
 #include <algorithm>
-#include <cstring>
 #include <string>
 #include <utility>
 
 #include "base/logging.h"
-#include "base/parallel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "wl/color_refinement.h"
 
 namespace gelc {
-
-namespace {
-
-// Bitwise hash of a vertex's feature row — byte-identical to the
-// round-0 signature in color_refinement.cc (exact equality semantics).
-std::string FeatureSignature(const Graph& g, size_t v) {
-  std::string buf(g.feature_dim() * sizeof(double), '\0');
-  for (size_t j = 0; j < g.feature_dim(); ++j) {
-    double x = g.features().At(v, j);
-    std::memcpy(buf.data() + j * sizeof(double), &x, sizeof(double));
-  }
-  return buf;
-}
-
-// Round-r signature bytes of v from the previous round's colors: own
-// color first, then the out-neighbors' colors sorted — the same word
-// layout RunColorRefinement interns.
-std::string RoundSignature(const Graph& g, const std::vector<uint64_t>& prev,
-                           size_t v) {
-  std::vector<uint64_t> sig;
-  sig.reserve(1 + g.OutDegree(static_cast<VertexId>(v)));
-  sig.push_back(prev[v]);
-  for (VertexId u : g.Neighbors(static_cast<VertexId>(v)))
-    sig.push_back(prev[u]);
-  std::sort(sig.begin() + 1, sig.end());
-  return EncodeWords(sig);
-}
-
-}  // namespace
 
 IncrementalColorRefiner::IncrementalColorRefiner(const Graph* g)
     : IncrementalColorRefiner(g, Options()) {}
@@ -51,16 +21,14 @@ IncrementalColorRefiner::IncrementalColorRefiner(const Graph* g,
   Refresh();
 }
 
-std::vector<uint64_t> IncrementalColorRefiner::FullRound(
-    const std::vector<uint64_t>& prev) {
-  const size_t n = g_->num_vertices();
-  std::vector<std::string> sigs(n);
-  ParallelFor(0, n, 32, [&](size_t vb, size_t ve) {
-    for (size_t v = vb; v < ve; ++v) sigs[v] = RoundSignature(*g_, prev, v);
-  });
-  std::vector<uint64_t> next(n);
-  for (size_t v = 0; v < n; ++v) next[v] = interner_.Intern(sigs[v]);
-  return next;
+void IncrementalColorRefiner::ExtendToFixpoint() {
+  Colorings colors = {history_.back()};
+  std::vector<Colorings> rounds;
+  RefineCr({g_}, /*max_rounds=*/-1, &interner_, &colors, &rounds);
+  for (Colorings& round : rounds) {
+    history_.push_back(std::move(round[0]));
+    RecountRound(history_.size() - 1);
+  }
 }
 
 void IncrementalColorRefiner::RecountRound(size_t r) {
@@ -81,21 +49,9 @@ void IncrementalColorRefiner::Refresh() {
   distinct_.clear();
   last_recolored_ = 0;
 
-  const size_t n = g_->num_vertices();
-  std::vector<std::string> sigs =
-      ParallelMap(n, 64, [&](size_t v) { return FeatureSignature(*g_, v); });
-  std::vector<uint64_t> colors(n);
-  for (size_t v = 0; v < n; ++v) colors[v] = interner_.Intern(sigs[v]);
-  history_.push_back(std::move(colors));
+  history_.push_back(InternFeatureRows(g_->features(), &interner_));
   RecountRound(0);
-
-  // Same loop shape and stop rule as RunColorRefinement: compute the
-  // round, record it, stop once the distinct count stops growing.
-  for (size_t r = 1;; ++r) {
-    history_.push_back(FullRound(history_[r - 1]));
-    RecountRound(r);
-    if (distinct_[r] == distinct_[r - 1]) break;
-  }
+  ExtendToFixpoint();
 }
 
 void IncrementalColorRefiner::Update(const std::vector<VertexId>& touched) {
@@ -128,72 +84,74 @@ void IncrementalColorRefiner::Update(const std::vector<VertexId>& touched) {
   std::vector<VertexId> dirty_prev;  // dirty set of round r-1
   std::vector<uint8_t> marked(n, 0);
   std::vector<VertexId> candidates;
-  std::vector<std::string> sigs;
 
-  for (size_t r = 1;; ++r) {
-    if (r >= history_.size()) {
-      // The partition keeps refining past the old fixpoint: compute the
-      // whole round exactly as a from-scratch run would.
-      history_.push_back(FullRound(history_[r - 1]));
-      RecountRound(r);
-    } else {
-      // candidates_r = endpoints ∪ dirty_{r-1} ∪ InNeighbors(dirty_{r-1}):
-      // everything whose round-r signature can differ from the stored one.
-      candidates.clear();
-      auto mark = [&](VertexId v) {
-        if (!marked[v]) {
-          marked[v] = 1;
-          candidates.push_back(v);
-        }
-      };
-      for (VertexId v : endpoints) mark(v);
-      for (VertexId u : dirty_prev) {
-        mark(u);
-        for (VertexId w : g_->InNeighbors(u)) mark(w);
+  size_t r = 1;
+  for (; r < history_.size(); ++r) {
+    // candidates_r = endpoints ∪ dirty_{r-1} ∪ InNeighbors(dirty_{r-1}):
+    // everything whose round-r signature can differ from the stored one.
+    candidates.clear();
+    auto mark = [&](VertexId v) {
+      if (!marked[v]) {
+        marked[v] = 1;
+        candidates.push_back(v);
       }
-      std::sort(candidates.begin(), candidates.end());
-      for (VertexId v : candidates) marked[v] = 0;
-      if (candidates.size() > fallback_cap) {
-        fallbacks->Increment();
-        last_was_fallback_ = true;
-        Refresh();
-        return;
-      }
-      dirty_hist->Observe(static_cast<int64_t>(candidates.size()));
-      saved->Add(n - candidates.size());
+    };
+    for (VertexId v : endpoints) mark(v);
+    for (VertexId u : dirty_prev) {
+      mark(u);
+      for (VertexId w : g_->InNeighbors(u)) mark(w);
+    }
+    std::sort(candidates.begin(), candidates.end());
+    for (VertexId v : candidates) marked[v] = 0;
+    if (candidates.size() > fallback_cap) {
+      fallbacks->Increment();
+      last_was_fallback_ = true;
+      Refresh();
+      return;
+    }
+    dirty_hist->Observe(static_cast<int64_t>(candidates.size()));
+    saved->Add(n - candidates.size());
 
-      // Pass 1 (parallel): signature bytes from the already-patched
-      // round r-1 colors. Pass 2 (serial, ascending vertex order):
-      // deterministic intern + in-place patch of round r.
-      sigs.resize(candidates.size());
-      ParallelFor(0, candidates.size(), 32, [&](size_t cb, size_t ce) {
-        for (size_t i = cb; i < ce; ++i)
-          sigs[i] = RoundSignature(*g_, history_[r - 1], candidates[i]);
-      });
-      std::vector<VertexId> dirty_next;
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        const VertexId v = candidates[i];
-        const uint64_t id = interner_.Intern(sigs[i]);
-        uint64_t& slot = history_[r][v];
-        if (id == slot) continue;
-        auto it = class_counts_[r].find(slot);
-        if (--it->second == 0) class_counts_[r].erase(it);
-        ++class_counts_[r][id];
-        slot = id;
-        dirty_next.push_back(v);
-        ++recolored;
-      }
-      distinct_[r] = class_counts_[r].size();
-      dirty_prev = std::move(dirty_next);
+    // Re-sign the candidates from the already-patched round r-1 colors,
+    // interned in ascending vertex order, then patch round r in place.
+    std::vector<uint64_t> ids(candidates.size());
+    InternSignatures(
+        32,
+        [&](size_t begin, size_t end, std::string* sigs) {
+          std::vector<uint64_t> words;
+          for (size_t i = begin; i < end; ++i) {
+            sigs[i - begin] =
+                CrSignature(*g_, history_[r - 1], candidates[i], &words);
+          }
+        },
+        &interner_, &ids);
+    std::vector<VertexId> dirty_next;
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      const VertexId v = candidates[i];
+      const uint64_t id = ids[i];
+      uint64_t& slot = history_[r][v];
+      if (id == slot) continue;
+      auto it = class_counts_[r].find(slot);
+      if (--it->second == 0) class_counts_[r].erase(it);
+      ++class_counts_[r][id];
+      slot = id;
+      dirty_next.push_back(v);
+      ++recolored;
     }
-    if (distinct_[r] == distinct_[r - 1]) {
-      // The partition is stable at round r — exactly the from-scratch
-      // stop rule. Later stored rounds (if any) are now meaningless.
-      history_.resize(r + 1);
-      class_counts_.resize(r + 1);
-      distinct_.resize(r + 1);
-      break;
-    }
+    distinct_[r] = class_counts_[r].size();
+    dirty_prev = std::move(dirty_next);
+    if (distinct_[r] == distinct_[r - 1]) break;
+  }
+  if (r < history_.size()) {
+    // The partition is stable at round r — exactly the from-scratch stop
+    // rule. Later stored rounds (if any) are now meaningless.
+    history_.resize(r + 1);
+    class_counts_.resize(r + 1);
+    distinct_.resize(r + 1);
+  } else {
+    // It keeps refining past the old fixpoint: the remaining rounds are
+    // exactly the from-scratch ones.
+    ExtendToFixpoint();
   }
   last_recolored_ = recolored;
   recolored_ctr->Add(recolored);

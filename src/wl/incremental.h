@@ -23,9 +23,10 @@
 // the vertex set, with the same stable-round count, as a from-scratch
 // RunColorRefinement({&g}) on the current graph. Ids themselves may
 // differ (the persistent interner assigns them in patch order); the
-// partition and the round count are the invariants. All signature
-// passes are parallel with a serial ascending-order intern pass, so
-// results are bit-identical at any thread count.
+// partition and the round count are the invariants. Refresh and the
+// full rounds past the old fixpoint run the shared loop of wl/refine.h;
+// the patch pass signs candidates in parallel and interns them serially
+// in ascending order, so results are bit-identical at any thread count.
 #ifndef GELC_WL_INCREMENTAL_H_
 #define GELC_WL_INCREMENTAL_H_
 
@@ -72,9 +73,10 @@ class IncrementalColorRefiner {
   bool last_was_fallback() const { return last_was_fallback_; }
 
  private:
-  // Computes round colors[r] for every vertex from colors[r-1] (the
-  // from-scratch round body; used by Refresh and by fixpoint extension).
-  std::vector<uint64_t> FullRound(const std::vector<uint64_t>& prev);
+  // Runs full rounds from the last stored one until the partition is
+  // stable, appending them to the history (Refresh, and Update once the
+  // partition refines past the stored fixpoint).
+  void ExtendToFixpoint();
   // Rebuilds class_counts_[r]/distinct_[r] from history_[r].
   void RecountRound(size_t r);
 

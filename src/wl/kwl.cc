@@ -1,12 +1,10 @@
 #include "wl/kwl.h"
 
 #include <algorithm>
-#include <cstring>
 #include <string>
 
 #include "base/hash.h"
 #include "base/logging.h"
-#include "base/parallel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "wl/color_refinement.h"
@@ -14,12 +12,6 @@
 namespace gelc {
 
 namespace {
-
-// Tuples per block when recoloring the n^k tuple space: signature bytes
-// for one block are built in parallel shards, then interned serially in
-// tuple order. Blocking bounds the materialized signatures regardless of
-// table size; the fixed block size keeps the schedule deterministic.
-constexpr size_t kTupleBlock = size_t{1} << 15;
 
 // Decodes tuple index t (mixed radix base n) into vertex ids, most
 // significant position first.
@@ -31,13 +23,12 @@ void DecodeTuple(size_t t, size_t n, size_t k, std::vector<size_t>* tuple) {
   }
 }
 
-std::string FeatureSignature(const Graph& g, size_t v) {
-  std::string buf(g.feature_dim() * sizeof(double), '\0');
-  for (size_t j = 0; j < g.feature_dim(); ++j) {
-    double x = g.features().At(v, j);
-    std::memcpy(buf.data() + j * sizeof(double), &x, sizeof(double));
-  }
-  return buf;
+// Index strides for substituting position j: replacing v_j by w changes
+// the tuple index by (w - v_j) * n^{k-1-j}.
+std::vector<size_t> Strides(size_t n, size_t k) {
+  std::vector<size_t> stride(k, 1);
+  for (size_t j = k; j-- > 1;) stride[j - 1] = stride[j] * n;
+  return stride;
 }
 
 // Atomic type of an ordered k-tuple: per-position feature colors plus the
@@ -60,60 +51,109 @@ void AtomicTypeWords(const Graph& g, const std::vector<size_t>& tuple,
   }
 }
 
-// Initializes stable[g] with interned atomic types: signature bytes per
-// block in parallel, ids assigned serially in tuple order (first-seen
-// order identical to a serial run).
-void InitAtomicTypes(const Graph& graph, size_t k, Interner* interner,
-                     std::vector<uint64_t>* stable) {
-  size_t n = graph.num_vertices();
-  std::vector<uint64_t> feature_colors(n);
-  {
-    std::vector<std::string> fsigs = ParallelMap(
-        n, 64, [&](size_t v) { return FeatureSignature(graph, v); });
-    for (size_t v = 0; v < n; ++v)
-      feature_colors[v] = interner->Intern(fsigs[v]);
-  }
-  size_t tuples = stable->size();
-  std::vector<std::string> sigs;
-  for (size_t block = 0; block < tuples; block += kTupleBlock) {
-    size_t block_end = std::min(tuples, block + kTupleBlock);
-    sigs.resize(block_end - block);
-    ParallelFor(block, block_end, 128, [&](size_t tb, size_t te) {
-      std::vector<size_t> tuple;
-      std::vector<uint64_t> words;
-      for (size_t t = tb; t < te; ++t) {
-        DecodeTuple(t, n, k, &tuple);
-        AtomicTypeWords(graph, tuple, feature_colors, &words);
-        sigs[t - block] = EncodeWords(words);
-      }
-    });
-    for (size_t t = block; t < block_end; ++t)
-      (*stable)[t] = interner->Intern(sigs[t - block]);
-  }
-}
-
-size_t CountDistinct(const std::vector<std::vector<uint64_t>>& colorings) {
-  std::vector<uint64_t> all;
-  for (const auto& c : colorings) all.insert(all.end(), c.begin(), c.end());
-  std::sort(all.begin(), all.end());
-  all.erase(std::unique(all.begin(), all.end()), all.end());
-  return all.size();
-}
-
 size_t PowN(size_t n, size_t k) {
   size_t r = 1;
   for (size_t i = 0; i < k; ++i) r *= n;
   return r;
 }
 
-}  // namespace
-
-std::vector<uint64_t> KwlColoring::GraphSignature(size_t g) const {
-  GELC_CHECK(g < stable.size());
-  std::vector<uint64_t> sig = stable[g];
-  std::sort(sig.begin(), sig.end());
-  return sig;
+// Guards against runaway table sizes (n^k tuples per graph).
+Status CheckTableSizes(const std::vector<const Graph*>& graphs, size_t k) {
+  for (const Graph* g : graphs) {
+    if (PowN(g->num_vertices(), k) > 2'000'000) {
+      return Status::OutOfRange("k-WL tuple table too large (n^k > 2e6)");
+    }
+  }
+  return Status::OK();
 }
+
+// Writes the round signatures of tuples [begin, end) of a graph on n
+// vertices, from its previous-round tuple colors `prev`.
+using TupleSignFn = void (*)(size_t n, size_t k,
+                             const std::vector<uint64_t>& prev, size_t begin,
+                             size_t end, std::string* sigs);
+
+// Folklore: [old color | sorted list of the n substituted k-vectors].
+// Sorting the raw k-vectors, rather than interning each to an id first,
+// keeps the bytes independent of interner state, so every shard schedule
+// and thread count produces the same signature.
+void SignFolklore(size_t n, size_t k, const std::vector<uint64_t>& prev,
+                  size_t begin, size_t end, std::string* sigs) {
+  const std::vector<size_t> stride = Strides(n, k);
+  std::vector<size_t> tuple;
+  std::vector<std::vector<uint64_t>> wvecs(n, std::vector<uint64_t>(k));
+  std::vector<uint64_t> sig;
+  for (size_t t = begin; t < end; ++t) {
+    DecodeTuple(t, n, k, &tuple);
+    for (size_t w = 0; w < n; ++w)
+      for (size_t j = 0; j < k; ++j)
+        wvecs[w][j] = prev[t + (w - tuple[j]) * stride[j]];
+    std::sort(wvecs.begin(), wvecs.end());
+    sig.clear();
+    sig.reserve(1 + n * k);
+    sig.push_back(prev[t]);
+    for (const auto& wv : wvecs) sig.insert(sig.end(), wv.begin(), wv.end());
+    sigs[t - begin] = EncodeWords(sig);
+  }
+}
+
+// Oblivious: per position, the SORTED multiset over w of the single
+// substituted color, embedded raw (interner-independent, as above).
+void SignOblivious(size_t n, size_t k, const std::vector<uint64_t>& prev,
+                   size_t begin, size_t end, std::string* sigs) {
+  const std::vector<size_t> stride = Strides(n, k);
+  std::vector<size_t> tuple;
+  std::vector<uint64_t> sig;
+  for (size_t t = begin; t < end; ++t) {
+    DecodeTuple(t, n, k, &tuple);
+    sig.clear();
+    sig.reserve(1 + k * n);
+    sig.push_back(prev[t]);
+    for (size_t j = 0; j < k; ++j) {
+      size_t head = sig.size();
+      for (size_t w = 0; w < n; ++w)
+        sig.push_back(prev[t + (w - tuple[j]) * stride[j]]);
+      std::sort(sig.begin() + static_cast<ptrdiff_t>(head), sig.end());
+    }
+    sigs[t - begin] = EncodeWords(sig);
+  }
+}
+
+// Both variants: round 0 interns each graph's feature colors, then its
+// tuples' atomic types; the shared loop then refines with `sign`.
+KwlColoring RefineTuples(const std::vector<const Graph*>& graphs, size_t k,
+                         int max_rounds, TupleSignFn sign,
+                         Interner* interner) {
+  KwlColoring out;
+  out.k = k;
+  for (const Graph* graph : graphs) {
+    const size_t n = graph->num_vertices();
+    const std::vector<uint64_t> feature_colors =
+        InternFeatureRows(graph->features(), interner);
+    std::vector<uint64_t>& types = out.stable.emplace_back(PowN(n, k));
+    InternSignatures(
+        128,
+        [&](size_t begin, size_t end, std::string* sigs) {
+          std::vector<size_t> tuple;
+          std::vector<uint64_t> words;
+          for (size_t t = begin; t < end; ++t) {
+            DecodeTuple(t, n, k, &tuple);
+            AtomicTypeWords(*graph, tuple, feature_colors, &words);
+            sigs[t - begin] = EncodeWords(words);
+          }
+        },
+        interner, &types);
+  }
+  out.rounds = Refine(
+      [&](size_t g, const std::vector<uint64_t>& prev, size_t begin,
+          size_t end, std::string* sigs) {
+        sign(graphs[g]->num_vertices(), k, prev, begin, end, sigs);
+      },
+      64, max_rounds, interner, &out.stable, nullptr);
+  return out;
+}
+
+}  // namespace
 
 uint64_t KwlColoring::TupleColor(size_t g, const std::vector<VertexId>& tuple,
                                  size_t n) const {
@@ -140,87 +180,18 @@ Result<KwlColoring> RunKwl(const std::vector<const Graph*>& graphs, size_t k,
     out.rounds = cr.rounds;
     return out;
   }
-  // Guard against runaway table sizes (n^k tuples per graph).
-  for (const Graph* g : graphs) {
-    size_t tuples = PowN(g->num_vertices(), k);
-    if (tuples > 2'000'000) {
-      return Status::OutOfRange("k-WL tuple table too large (n^k > 2e6)");
-    }
-  }
+  GELC_RETURN_NOT_OK(CheckTableSizes(graphs, k));
 
   static obs::Counter* runs = obs::GetCounter("wl.kwl.runs");
   static obs::Counter* rounds_total = obs::GetCounter("wl.kwl.rounds");
   static obs::Histogram* rounds_hist = obs::GetHistogram(
       "wl.kwl.rounds_to_stable", {1, 2, 4, 8, 16, 32, 64});
-  static obs::LatencyHistogram* round_series =
-      obs::GetLatencyHistogram("wl.round");
   runs->Increment();
   GELC_OBS_SCOPE("wl.kwl", {{"k", k}, {"graphs", graphs.size()}});
   Interner interner;
-  KwlColoring out;
-  out.k = k;
-  out.stable.resize(graphs.size());
-
-  // Initialization: atomic types.
-  for (size_t g = 0; g < graphs.size(); ++g) {
-    out.stable[g].resize(PowN(graphs[g]->num_vertices(), k));
-    InitAtomicTypes(*graphs[g], k, &interner, &out.stable[g]);
-  }
-
-  size_t prev_distinct = CountDistinct(out.stable);
-  for (size_t round = 1;; ++round) {
-    if (max_rounds >= 0 && round > static_cast<size_t>(max_rounds)) break;
-    obs::Scope round_span(round_series, {{"round", round}});
-    std::vector<std::vector<uint64_t>> next(graphs.size());
-    for (size_t g = 0; g < graphs.size(); ++g) {
-      size_t n = graphs[g]->num_vertices();
-      size_t tuples = out.stable[g].size();
-      next[g].resize(tuples);
-      // Precomputed strides for substituting position j: replacing v_j by w
-      // changes the index by (w - v_j) * n^{k-1-j}.
-      std::vector<size_t> stride(k, 1);
-      for (size_t j = k; j-- > 1;) stride[j - 1] = stride[j] * n;
-      // Pass 1 over each block (parallel): the raw refinement signature
-      // [old color | sorted list of the n substituted k-vectors]. Sorting
-      // the raw k-vectors — rather than interning each to an id first, as
-      // the serial-era code did — keeps the bytes independent of interner
-      // state, so every shard schedule and thread count produces the same
-      // signature; ids are then assigned serially in tuple order.
-      std::vector<std::string> sigs;
-      for (size_t block = 0; block < tuples; block += kTupleBlock) {
-        size_t block_end = std::min(tuples, block + kTupleBlock);
-        sigs.resize(block_end - block);
-        ParallelFor(block, block_end, 64, [&](size_t tb, size_t te) {
-          std::vector<size_t> tuple;
-          std::vector<std::vector<uint64_t>> wvecs(
-              n, std::vector<uint64_t>(k));
-          std::vector<uint64_t> sig;
-          for (size_t t = tb; t < te; ++t) {
-            DecodeTuple(t, n, k, &tuple);
-            for (size_t w = 0; w < n; ++w)
-              for (size_t j = 0; j < k; ++j)
-                wvecs[w][j] = out.stable[g][t + (w - tuple[j]) * stride[j]];
-            std::sort(wvecs.begin(), wvecs.end());
-            sig.clear();
-            sig.reserve(1 + n * k);
-            sig.push_back(out.stable[g][t]);
-            for (const auto& wv : wvecs)
-              sig.insert(sig.end(), wv.begin(), wv.end());
-            sigs[t - block] = EncodeWords(sig);
-          }
-        });
-        for (size_t t = block; t < block_end; ++t)
-          next[g][t] = interner.Intern(sigs[t - block]);
-      }
-    }
-    size_t distinct = CountDistinct(next);
-    round_span.SetArg("colors", static_cast<int64_t>(distinct));
-    rounds_total->Increment();
-    out.stable = std::move(next);
-    out.rounds = round;
-    if (distinct == prev_distinct) break;
-    prev_distinct = distinct;
-  }
+  KwlColoring out = RefineTuples(graphs, k, max_rounds, SignFolklore,
+                                 &interner);
+  rounds_total->Add(out.rounds);
   rounds_hist->Observe(static_cast<int64_t>(out.rounds));
   if (obs::MetricsEnabled()) {  // CountDistinct is not free; skip when off
     obs::GetGauge("wl.kwl.colors")->Set(
@@ -236,80 +207,18 @@ Result<KwlColoring> RunObliviousKwl(const std::vector<const Graph*>& graphs,
   if (k == 0 || k > 4) {
     return Status::InvalidArgument("oblivious k-WL supports k in [1, 4]");
   }
-  for (const Graph* g : graphs) {
-    size_t tuples = PowN(g->num_vertices(), k);
-    if (tuples > 2'000'000) {
-      return Status::OutOfRange("k-WL tuple table too large (n^k > 2e6)");
-    }
-  }
+  GELC_RETURN_NOT_OK(CheckTableSizes(graphs, k));
 
   static obs::Counter* runs = obs::GetCounter("wl.oblivious_kwl.runs");
   static obs::Counter* rounds_total = obs::GetCounter("wl.oblivious_kwl.rounds");
   static obs::Histogram* rounds_hist = obs::GetHistogram(
       "wl.oblivious_kwl.rounds_to_stable", {1, 2, 4, 8, 16, 32, 64});
-  static obs::LatencyHistogram* round_series =
-      obs::GetLatencyHistogram("wl.round");
   runs->Increment();
   GELC_OBS_SCOPE("wl.oblivious_kwl", {{"k", k}, {"graphs", graphs.size()}});
   Interner interner;
-  KwlColoring out;
-  out.k = k;
-  out.stable.resize(graphs.size());
-
-  for (size_t g = 0; g < graphs.size(); ++g) {
-    out.stable[g].resize(PowN(graphs[g]->num_vertices(), k));
-    InitAtomicTypes(*graphs[g], k, &interner, &out.stable[g]);
-  }
-
-  size_t prev_distinct = CountDistinct(out.stable);
-  for (size_t round = 1;; ++round) {
-    if (max_rounds >= 0 && round > static_cast<size_t>(max_rounds)) break;
-    obs::Scope round_span(round_series, {{"round", round}});
-    std::vector<std::vector<uint64_t>> next(graphs.size());
-    for (size_t g = 0; g < graphs.size(); ++g) {
-      size_t n = graphs[g]->num_vertices();
-      size_t tuples = out.stable[g].size();
-      next[g].resize(tuples);
-      std::vector<size_t> stride(k, 1);
-      for (size_t j = k; j-- > 1;) stride[j - 1] = stride[j] * n;
-      // Same two-pass scheme as folklore k-WL: per position, the SORTED
-      // multiset over w of the single substituted color is embedded raw
-      // into the signature (no intermediate interning), so the bytes are
-      // interner-independent and identical for every thread count.
-      std::vector<std::string> sigs;
-      for (size_t block = 0; block < tuples; block += kTupleBlock) {
-        size_t block_end = std::min(tuples, block + kTupleBlock);
-        sigs.resize(block_end - block);
-        ParallelFor(block, block_end, 64, [&](size_t tb, size_t te) {
-          std::vector<size_t> tuple;
-          std::vector<uint64_t> sig;
-          for (size_t t = tb; t < te; ++t) {
-            DecodeTuple(t, n, k, &tuple);
-            sig.clear();
-            sig.reserve(1 + k * n);
-            sig.push_back(out.stable[g][t]);
-            for (size_t j = 0; j < k; ++j) {
-              size_t head = sig.size();
-              for (size_t w = 0; w < n; ++w)
-                sig.push_back(
-                    out.stable[g][t + (w - tuple[j]) * stride[j]]);
-              std::sort(sig.begin() + head, sig.end());
-            }
-            sigs[t - block] = EncodeWords(sig);
-          }
-        });
-        for (size_t t = block; t < block_end; ++t)
-          next[g][t] = interner.Intern(sigs[t - block]);
-      }
-    }
-    size_t distinct = CountDistinct(next);
-    round_span.SetArg("colors", static_cast<int64_t>(distinct));
-    rounds_total->Increment();
-    out.stable = std::move(next);
-    out.rounds = round;
-    if (distinct == prev_distinct) break;
-    prev_distinct = distinct;
-  }
+  KwlColoring out = RefineTuples(graphs, k, max_rounds, SignOblivious,
+                                 &interner);
+  rounds_total->Add(out.rounds);
   rounds_hist->Observe(static_cast<int64_t>(out.rounds));
   return out;
 }

@@ -19,20 +19,16 @@
 
 #include "base/status.h"
 #include "graph/graph.h"
+#include "wl/refine.h"
 
 namespace gelc {
 
 /// Result of refining k-tuple colorings of several graphs jointly.
-struct KwlColoring {
+/// stable[g][t] is the color of the t-th k-tuple of graph g, where tuples
+/// are indexed in mixed radix: t = v_1 * n^{k-1} + ... + v_k.
+struct KwlColoring : WlColoring {
   size_t k = 0;
-  /// stable[g][t] = color of the t-th k-tuple of graph g, where tuples are
-  /// indexed in mixed radix: t = v_1 * n^{k-1} + ... + v_k.
-  std::vector<std::vector<uint64_t>> stable;
-  /// Number of refinement rounds until stability.
-  size_t rounds = 0;
 
-  /// Sorted multiset of stable tuple colors of graph g.
-  std::vector<uint64_t> GraphSignature(size_t g) const;
   /// Color of a specific tuple (size must equal k; entries < n_g).
   uint64_t TupleColor(size_t g, const std::vector<VertexId>& tuple,
                       size_t n) const;

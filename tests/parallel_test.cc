@@ -15,6 +15,7 @@
 #include "base/logging.h"
 #include "base/rng.h"
 #include "graph/generators.h"
+#include "graph/relational.h"
 #include "tensor/matrix.h"
 #include "wl/color_refinement.h"
 #include "wl/kernel.h"
@@ -244,6 +245,38 @@ TEST(WlDeterminismTest, ObliviousKwlStableColorsThreadInvariant) {
   }
   EXPECT_EQ(serial.rounds, parallel.rounds);
   EXPECT_EQ(serial.stable, parallel.stable);
+}
+
+TEST(WlDeterminismTest, RelationalCrStableColorsThreadInvariant) {
+  Rng rng(29);
+  std::vector<RelationalGraph> graphs;
+  for (int i = 0; i < 4; ++i) {
+    RelationalGraph g(120, 2, 2);
+    for (VertexId u = 0; u < 120; ++u) {
+      g.SetOneHotFeature(u, rng.NextBounded(2));
+      for (VertexId v = u + 1; v < 120; ++v) {
+        if (rng.NextBernoulli(0.04)) {
+          ASSERT_TRUE(g.AddEdge(rng.NextBounded(2), u, v).ok());
+        }
+      }
+    }
+    graphs.push_back(std::move(g));
+  }
+  std::vector<const RelationalGraph*> pointers;
+  for (const RelationalGraph& g : graphs) pointers.push_back(&g);
+  CrColoring serial, parallel;
+  {
+    ScopedThreads threads(1);
+    serial = RunRelationalColorRefinement(pointers);
+  }
+  {
+    ScopedThreads threads(4);
+    parallel = RunRelationalColorRefinement(pointers);
+  }
+  EXPECT_GT(serial.rounds, 1u);
+  EXPECT_EQ(serial.rounds, parallel.rounds);
+  EXPECT_EQ(serial.stable, parallel.stable);
+  EXPECT_EQ(serial.history, parallel.history);
 }
 
 TEST(WlDeterminismTest, SubtreeKernelMatrixThreadInvariant) {

@@ -1,6 +1,8 @@
 // Tests for the GEL text syntax: parsing, validation errors, round trips
 // through Expr::ToString, and semantic equality of round-tripped
 // expressions (a property suite over randomly generated expressions).
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "base/rng.h"
@@ -110,7 +112,29 @@ INSTANTIATE_TEST_SUITE_P(
         ParserErrorCase{"[1, 2] extra", "trailing input"},
         ParserErrorCase{"scale(lab0(x0))", "scale without parameter"},
         ParserErrorCase{"1[x0<x1]", "bad comparison operator"},
-        ParserErrorCase{"[]", "empty constant"}));
+        ParserErrorCase{"[]", "empty constant"},
+        ParserErrorCase{"lab99999999999999999999(x0)",
+                        "label index out of range"},
+        ParserErrorCase{"[1e999]", "constant overflows to inf"},
+        ParserErrorCase{"[+inf]", "infinite constant"},
+        ParserErrorCase{"[-nan]", "NaN constant"},
+        ParserErrorCase{"scale[1e999](lab0(x0))",
+                        "parameter overflows to inf"}));
+
+// Nesting deep enough to overflow the stack returns a Status instead of
+// crashing.
+std::string NestedRelu(size_t depth) {
+  std::string text;
+  for (size_t i = 0; i < depth; ++i) text += "relu(";
+  text += "lab0(x0)";
+  text.append(depth, ')');
+  return text;
+}
+
+TEST(ParserTest, DeepNestingIsRejected) {
+  EXPECT_TRUE(ParseExpr(NestedRelu(100)).ok());
+  EXPECT_FALSE(ParseExpr(NestedRelu(100000)).ok());
+}
 
 // Random-expression round-trip property: generate, print, reparse,
 // compare semantics on a labelled graph.

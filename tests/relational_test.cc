@@ -101,7 +101,7 @@ TEST(RelationalCrTest, SingleRelationMatchesPlainCr) {
       rg.SetOneHotFeature(static_cast<VertexId>(u), 0);
       g.SetOneHotFeature(static_cast<VertexId>(u), 0);
     }
-    RelationalCrColoring rc = RunRelationalColorRefinement({&rg});
+    CrColoring rc = RunRelationalColorRefinement({&rg});
     CrColoring c = RunColorRefinement({&g});
     // Same partition (colors are interned separately; compare pairwise).
     for (size_t x = 0; x < n; ++x)

@@ -1,4 +1,5 @@
-// Tests for color refinement and folklore k-WL (slides 50, 65).
+// Tests for color refinement and folklore k-WL (slides 50, 65), and the
+// edge cases of the refinement loop every WL variant runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,7 +8,9 @@
 #include "base/rng.h"
 #include "graph/generators.h"
 #include "graph/isomorphism.h"
+#include "graph/relational.h"
 #include "wl/color_refinement.h"
+#include "wl/incremental.h"
 #include "wl/kwl.h"
 
 namespace gelc {
@@ -208,6 +211,147 @@ TEST(KwlTest, CfiCyclePairSeparatedAtTwo) {
   Result<bool> r2 = KwlEquivalentGraphs(pair->first, pair->second, 2);
   ASSERT_TRUE(r2.ok());
   EXPECT_FALSE(*r2);
+}
+
+// ---------------------------------------------------------------------------
+// Edge cases of the refinement loop: no graphs, a 0-vertex graph, and
+// round caps of 0 and 1, for every variant.
+
+size_t Distinct(const std::vector<std::vector<uint64_t>>& colors) {
+  std::set<uint64_t> all;
+  for (const auto& c : colors) all.insert(c.begin(), c.end());
+  return all.size();
+}
+
+// A 2-relation path 0-1-...-(n-1) whose edges alternate relations.
+RelationalGraph AlternatingPath(size_t n) {
+  RelationalGraph g(n, 2, 1);
+  for (size_t v = 0; v < n; ++v) {
+    g.SetOneHotFeature(static_cast<VertexId>(v), 0);
+    if (v + 1 < n) {
+      EXPECT_TRUE(g.AddEdge(v % 2, static_cast<VertexId>(v),
+                            static_cast<VertexId>(v + 1))
+                      .ok());
+    }
+  }
+  return g;
+}
+
+TEST(RefineEdgeTest, NoGraphsRunOneEmptyRound) {
+  CrColoring cr = RunColorRefinement({});
+  EXPECT_TRUE(cr.stable.empty());
+  EXPECT_EQ(cr.rounds, 1u);
+  EXPECT_EQ(cr.history.size(), 2u);
+  for (size_t k : {2, 3}) {
+    Result<KwlColoring> folklore = RunKwl({}, k);
+    ASSERT_TRUE(folklore.ok());
+    EXPECT_TRUE(folklore->stable.empty());
+    EXPECT_EQ(folklore->rounds, 1u);
+    Result<KwlColoring> oblivious = RunObliviousKwl({}, k);
+    ASSERT_TRUE(oblivious.ok());
+    EXPECT_TRUE(oblivious->stable.empty());
+    EXPECT_EQ(oblivious->rounds, 1u);
+  }
+  auto relational = RunRelationalColorRefinement({});
+  EXPECT_TRUE(relational.stable.empty());
+  EXPECT_EQ(relational.rounds, 1u);
+}
+
+TEST(RefineEdgeTest, EmptyGraphRunsOneEmptyRound) {
+  Graph empty(0, 1);
+  CrColoring cr = RunColorRefinement({&empty});
+  ASSERT_EQ(cr.stable.size(), 1u);
+  EXPECT_TRUE(cr.stable[0].empty());
+  EXPECT_EQ(cr.rounds, 1u);
+  EXPECT_EQ(cr.history.size(), 2u);
+  EXPECT_EQ(CrPartitionSize(empty), 0u);
+  for (size_t k : {2, 3}) {
+    Result<KwlColoring> folklore = RunKwl({&empty}, k);
+    ASSERT_TRUE(folklore.ok());
+    ASSERT_EQ(folklore->stable.size(), 1u);
+    EXPECT_TRUE(folklore->stable[0].empty());
+    EXPECT_EQ(folklore->rounds, 1u);
+    Result<KwlColoring> oblivious = RunObliviousKwl({&empty}, k);
+    ASSERT_TRUE(oblivious.ok());
+    ASSERT_EQ(oblivious->stable.size(), 1u);
+    EXPECT_TRUE(oblivious->stable[0].empty());
+    EXPECT_EQ(oblivious->rounds, 1u);
+  }
+  RelationalGraph relational_empty(0, 2, 1);
+  auto relational = RunRelationalColorRefinement({&relational_empty});
+  ASSERT_EQ(relational.stable.size(), 1u);
+  EXPECT_TRUE(relational.stable[0].empty());
+  EXPECT_EQ(relational.rounds, 1u);
+  IncrementalColorRefiner refiner(&empty);
+  EXPECT_TRUE(refiner.colors().empty());
+  EXPECT_EQ(refiner.rounds(), 1u);
+  EXPECT_EQ(refiner.partition_size(), 0u);
+  refiner.Update({});
+  EXPECT_EQ(refiner.rounds(), 1u);
+
+  // Beside another graph, an empty one changes none of its colors.
+  Graph path = PathGraph(5);
+  CrColoring alone = RunColorRefinement({&path});
+  CrColoring joint = RunColorRefinement({&empty, &path});
+  EXPECT_EQ(joint.stable[1], alone.stable[0]);
+  EXPECT_EQ(joint.rounds, alone.rounds);
+}
+
+TEST(RefineEdgeTest, MaxRoundsZeroKeepsRoundZeroColors) {
+  Graph path = PathGraph(7);
+  CrColoring cr = RunColorRefinement({&path}, /*max_rounds=*/0);
+  EXPECT_EQ(cr.rounds, 0u);
+  ASSERT_EQ(cr.history.size(), 1u);
+  EXPECT_EQ(cr.stable, cr.history[0]);
+  EXPECT_EQ(Distinct(cr.stable), 1u);  // unlabelled: one feature color
+  for (size_t k : {2, 3}) {
+    // Atomic types only: the equality/adjacency patterns of the tuples.
+    Result<KwlColoring> folklore = RunKwl({&path}, k, 0);
+    ASSERT_TRUE(folklore.ok());
+    EXPECT_EQ(folklore->rounds, 0u);
+    Result<KwlColoring> oblivious = RunObliviousKwl({&path}, k, 0);
+    ASSERT_TRUE(oblivious.ok());
+    EXPECT_EQ(oblivious->rounds, 0u);
+    EXPECT_EQ(folklore->stable, oblivious->stable);
+    EXPECT_EQ(Distinct(folklore->stable), k == 2 ? 3u : 14u);  // no triangle
+  }
+  RelationalGraph rel = AlternatingPath(7);
+  auto relational = RunRelationalColorRefinement({&rel}, 0);
+  EXPECT_EQ(relational.rounds, 0u);
+  EXPECT_EQ(Distinct(relational.stable), 1u);
+}
+
+TEST(RefineEdgeTest, MaxRoundsOneStopsAfterOneRound) {
+  Graph path = PathGraph(9);
+  CrColoring cr = RunColorRefinement({&path}, /*max_rounds=*/1);
+  EXPECT_EQ(cr.rounds, 1u);
+  EXPECT_EQ(cr.history.size(), 2u);
+  EXPECT_EQ(cr.stable, cr.history[1]);
+  EXPECT_EQ(Distinct(cr.stable), 2u);  // degree 1 vs degree 2
+  EXPECT_GT(RunColorRefinement({&path}).rounds, 1u);
+  for (size_t k : {2, 3}) {
+    Result<KwlColoring> folklore = RunKwl({&path}, k, 1);
+    ASSERT_TRUE(folklore.ok());
+    EXPECT_EQ(folklore->rounds, 1u);
+    Result<KwlColoring> folklore_stable = RunKwl({&path}, k);
+    ASSERT_TRUE(folklore_stable.ok());
+    EXPECT_GT(folklore_stable->rounds, 1u);
+    EXPECT_LT(Distinct(folklore->stable), Distinct(folklore_stable->stable));
+    Result<KwlColoring> oblivious = RunObliviousKwl({&path}, k, 1);
+    ASSERT_TRUE(oblivious.ok());
+    EXPECT_EQ(oblivious->rounds, 1u);
+    Result<KwlColoring> oblivious_stable = RunObliviousKwl({&path}, k);
+    ASSERT_TRUE(oblivious_stable.ok());
+    EXPECT_GT(oblivious_stable->rounds, 1u);
+    EXPECT_LT(Distinct(oblivious->stable),
+              Distinct(oblivious_stable->stable));
+  }
+  RelationalGraph rel = AlternatingPath(9);
+  auto relational = RunRelationalColorRefinement({&rel}, 1);
+  EXPECT_EQ(relational.rounds, 1u);
+  auto relational_stable = RunRelationalColorRefinement({&rel});
+  EXPECT_GT(relational_stable.rounds, 1u);
+  EXPECT_LT(Distinct(relational.stable), Distinct(relational_stable.stable));
 }
 
 }  // namespace
