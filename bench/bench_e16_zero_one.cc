@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "base/rng.h"
+#include "core/compile_gnn.h"
 #include "gnn/mpnn.h"
 #include "graph/generators.h"
 
@@ -55,7 +56,7 @@ int main() {
     int positive = 0;
     for (int s = 0; s < kSamples; ++s) {
       Graph g = RandomLabelledGnp(n, &rng);
-      Matrix e = *model.GraphEmbedding(g);
+      Matrix e = *GraphEmbedding(model, g);
       if (e.MatMul(w).At(0, 0) + bias >= 0) ++positive;
       embeddings.push_back(std::move(e));
     }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "base/rng.h"
+#include "core/compile_gnn.h"
 #include "gnn/fgnn.h"
 #include "gnn/gnn101.h"
 #include "graph/generators.h"
@@ -99,7 +100,7 @@ int main() {
   auto gnn_embed = [&gnns](const Graph& g) {
     Matrix out(1, 0);
     for (const Gnn101Model& m : gnns)
-      out = out.ConcatCols(*m.GraphEmbedding(g));
+      out = out.ConcatCols(*GraphEmbedding(m, g));
     return out;
   };
   auto fgnn_embed = [&fgnns](const Graph& g) {

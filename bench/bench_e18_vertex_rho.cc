@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "base/rng.h"
+#include "core/compile_gnn.h"
 #include "gnn/gnn101.h"
 #include "graph/generators.h"
 #include "wl/color_refinement.h"
@@ -38,7 +39,7 @@ std::vector<size_t> GnnClasses(const Graph& g,
   size_t n = g.num_vertices();
   std::vector<Matrix> embeddings;
   for (const Gnn101Model& m : models)
-    embeddings.push_back(*m.VertexEmbeddings(g));
+    embeddings.push_back(*VertexEmbeddings(m, g));
   std::vector<size_t> cls(n, static_cast<size_t>(-1));
   size_t next = 0;
   for (size_t v = 0; v < n; ++v) {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "base/rng.h"
+#include "core/compile_gnn.h"
 #include "gnn/gnn101.h"
 #include "graph/generators.h"
 #include "hom/hom_count.h"
@@ -30,7 +31,7 @@ Matrix EmbedAll(const std::vector<Graph>& graphs,
   for (size_t g = 0; g < graphs.size(); ++g) {
     size_t off = 0;
     for (size_t i = 0; i < use; ++i) {
-      Matrix e = *models[i].GraphEmbedding(graphs[g]);
+      Matrix e = *GraphEmbedding(models[i], graphs[g]);
       for (size_t j = 0; j < e.cols(); ++j) out.At(g, off++) = e.At(0, j);
     }
     out.At(g, off) = 1.0;

@@ -40,7 +40,7 @@ int main() {
         g.SetOneHotFeature(static_cast<VertexId>(u),
                            rng.NextBounded(kLabels));
       }
-      Matrix out = *compiled.model.VertexEmbeddings(g);
+      Matrix out = *VertexEmbeddings(compiled.model, g);
       std::vector<bool> truth = *EvaluateGml(formula, g);
       for (size_t v = 0; v < n; ++v) {
         ++vertices;

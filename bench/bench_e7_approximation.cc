@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "base/rng.h"
+#include "core/compile_gnn.h"
 #include "gnn/gnn101.h"
 #include "graph/generators.h"
 #include "hom/hom_count.h"
@@ -39,7 +40,7 @@ class RandomGnnFeatures {
     for (size_t i = 0; i < graphs.size(); ++i) {
       size_t off = 0;
       for (const Gnn101Model& m : models_) {
-        Matrix e = *m.GraphEmbedding(graphs[i]);
+        Matrix e = *GraphEmbedding(m, graphs[i]);
         for (size_t j = 0; j < e.cols(); ++j) out.At(i, off++) = e.At(0, j);
       }
       out.At(i, off) = 1.0;  // bias feature

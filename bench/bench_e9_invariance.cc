@@ -49,10 +49,10 @@ int main() {
     if (*TreeHomProfile(g, trees) != *TreeHomProfile(h, trees))
       ++hom_mismatches;
 
-    gnn_dev = std::max(gnn_dev, (*gnn.GraphEmbedding(g))
-                                    .MaxAbsDiff(*gnn.GraphEmbedding(h)));
-    mpnn_dev = std::max(mpnn_dev, (*mpnn.GraphEmbedding(g))
-                                      .MaxAbsDiff(*mpnn.GraphEmbedding(h)));
+    gnn_dev = std::max(gnn_dev, (*GraphEmbedding(gnn, g))
+                                    .MaxAbsDiff(*GraphEmbedding(gnn, h)));
+    mpnn_dev = std::max(mpnn_dev, (*GraphEmbedding(mpnn, g))
+                                      .MaxAbsDiff(*GraphEmbedding(mpnn, h)));
     Evaluator eg(g);
     Evaluator eh(h);
     std::vector<double> vg = *eg.EvalClosed(gel);

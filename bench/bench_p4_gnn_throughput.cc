@@ -1,9 +1,11 @@
-// P4: inference throughput of the GNN implementations (dense-adjacency
-// GNN-101 vs adjacency-list MPNN aggregation) and the training step cost.
+// P4: inference throughput of the GNN families (each model's entry point
+// in core/compile_gnn.h: lower, compile, execute) and the training step
+// cost.
 #include <benchmark/benchmark.h>
 
 #include "autodiff/tape.h"
 #include "base/rng.h"
+#include "core/compile_gnn.h"
 #include "gnn/gnn101.h"
 #include "gnn/mpnn.h"
 #include "gnn/trainable.h"
@@ -18,7 +20,7 @@ void BM_Gnn101Forward(benchmark::State& state) {
   Gnn101Model model =
       *Gnn101Model::Random({1, 16, 16}, Activation::kReLU, 0.5, &rng);
   for (auto _ : state) {
-    Result<Matrix> f = model.VertexEmbeddings(g);
+    Result<Matrix> f = VertexEmbeddings(model, g);
     benchmark::DoNotOptimize(f);
   }
   state.SetComplexityN(state.range(0));
@@ -32,7 +34,7 @@ void BM_MpnnForwardByAgg(benchmark::State& state) {
   Aggregation agg = static_cast<Aggregation>(state.range(0));
   MpnnModel model = *MpnnModel::Random({1, 16, 16}, agg, 0.5, &rng);
   for (auto _ : state) {
-    Result<Matrix> f = model.VertexEmbeddings(g);
+    Result<Matrix> f = VertexEmbeddings(model, g);
     benchmark::DoNotOptimize(f);
   }
   state.SetLabel(AggregationName(agg));
@@ -44,7 +46,7 @@ void BM_GinForward(benchmark::State& state) {
   Graph g = RandomGnp(state.range(0), 0.1, &rng);
   GinModel model = *GinModel::Random({1, 16, 16}, 0.5, &rng);
   for (auto _ : state) {
-    Result<Matrix> f = model.VertexEmbeddings(g);
+    Result<Matrix> f = VertexEmbeddings(model, g);
     benchmark::DoNotOptimize(f);
   }
 }

@@ -5,6 +5,8 @@
 #include <utility>
 
 #include "base/logging.h"
+#include "core/plan_compile.h"
+#include "core/plan_exec.h"
 
 namespace gelc {
 
@@ -109,6 +111,39 @@ Result<ExprPtr> LinearUpdate(ExprPtr self, ExprPtr agg, const Matrix& w,
   return Expr::Apply(omega::ActivationFn(act, b.cols()), {std::move(pre)});
 }
 
+// Pools the vertex expression over x0 with `theta`, then applies the
+// readout MLP: the closed readout of MPNN and GIN.
+Result<ExprPtr> MlpReadout(ExprPtr vertex, ThetaPtr theta, const Mlp& mlp) {
+  size_t d = vertex->dim();
+  GELC_ASSIGN_OR_RETURN(
+      ExprPtr pooled,
+      Expr::Aggregate(std::move(theta), VarBit(0), std::move(vertex),
+                      nullptr));
+  GELC_ASSIGN_OR_RETURN(OmegaPtr mlp_fn, omega::FromMlp({d}, mlp));
+  return Expr::Apply(std::move(mlp_fn), {std::move(pooled)});
+}
+
+Status CheckFeatureDim(size_t input_dim, const Graph& g) {
+  if (g.feature_dim() != input_dim) {
+    return Status::InvalidArgument("graph feature dim does not match model");
+  }
+  return Status::OK();
+}
+
+Result<PlanPtr> CompileModel(const Result<ExprPtr>& lowered) {
+  GELC_ASSIGN_OR_RETURN(ExprPtr e, lowered);
+  return CompileToPlan(e);
+}
+
+// The one inference path: check the input width, lower (`lower` returns
+// the model's plan), execute.
+template <typename LowerFn>
+Result<Matrix> Run(size_t input_dim, const Graph& g, LowerFn lower) {
+  GELC_RETURN_NOT_OK(CheckFeatureDim(input_dim, g));
+  GELC_ASSIGN_OR_RETURN(PlanPtr plan, lower());
+  return ExecutePlan(*plan, g);
+}
+
 }  // namespace
 
 Result<ExprPtr> CompileGnn101ToGel(const Gnn101Model& model) {
@@ -162,20 +197,14 @@ Result<ExprPtr> CompileMpnnGraphToGel(const MpnnModel& model) {
     return Status::FailedPrecondition("model has no readout");
   }
   GELC_ASSIGN_OR_RETURN(ExprPtr vertex, CompileMpnnToGel(model));
-  size_t d = vertex->dim();
   const MpnnReadout& readout = *model.readout();
-  GELC_ASSIGN_OR_RETURN(
-      ExprPtr pooled,
-      Expr::Aggregate(ThetaFor(readout.pool, d), VarBit(0),
-                      std::move(vertex), nullptr));
-  GELC_ASSIGN_OR_RETURN(OmegaPtr mlp_fn, omega::FromMlp({d}, readout.mlp));
-  return Expr::Apply(std::move(mlp_fn), {std::move(pooled)});
+  ThetaPtr theta = ThetaFor(readout.pool, vertex->dim());
+  return MlpReadout(std::move(vertex), std::move(theta), readout.mlp);
 }
 
 Result<ExprPtr> CompileGraphSageToGel(const GraphSageModel& model) {
-  size_t input_dim = model.layers().front().w.rows() / 2;
   GenericLayerCompiler compiler(
-      input_dim, model.layers().size(),
+      model.input_dim(), model.layers().size(),
       [](size_t, size_t d) { return theta::Mean(d); },
       [&model](size_t layer, ExprPtr self, ExprPtr agg) -> Result<ExprPtr> {
         const GraphSageModel::Layer& l = model.layers()[layer];
@@ -202,6 +231,117 @@ Result<ExprPtr> CompileGinToGel(const GinModel& model) {
         return Expr::Apply(std::move(mlp_fn), {std::move(combined)});
       });
   return compiler.BuildAll();
+}
+
+Result<ExprPtr> CompileGinGraphToGel(const GinModel& model) {
+  GELC_ASSIGN_OR_RETURN(ExprPtr vertex, CompileGinToGel(model));
+  ThetaPtr theta = theta::Sum(vertex->dim());
+  return MlpReadout(std::move(vertex), std::move(theta), model.readout_mlp());
+}
+
+Result<PlanPtr> CompileGcnToPlan(const GcnModel& model) {
+  if (model.layers().empty()) {
+    return Status::InvalidArgument("GCN model has no layers");
+  }
+  Plan plan;
+  size_t in_dim = model.layers().front().w.rows();
+  PlanOp load;
+  load.kind = PlanOpKind::kLoadLabels;
+  load.type = {true, static_cast<uint32_t>(in_dim)};
+  for (size_t j = 0; j < in_dim; ++j) load.label_cols.push_back(j);
+  plan.ops.push_back(std::move(load));
+  uint32_t prev = 0;
+  for (const GcnModel::Layer& layer : model.layers()) {
+    if (layer.w.rows() != plan.ops[prev].type.dim) {
+      return Status::InvalidArgument("GCN layer dimension mismatch");
+    }
+    PlanOp op;
+    op.kind = PlanOpKind::kFusedLayer;
+    op.type = {true, static_cast<uint32_t>(layer.w.cols())};
+    PlanLayerArg arg;
+    arg.input = prev;
+    arg.w = std::make_shared<const Matrix>(layer.w);
+    arg.aggregated = true;
+    arg.agg = ThetaAgg::Kind::kSum;
+    arg.csr = PlanCsr::kNorm;
+    arg.gather = PlanGather::kNeighbor;
+    op.args = {std::move(arg)};
+    op.act = layer.act;
+    plan.ops.push_back(std::move(op));
+    prev = static_cast<uint32_t>(plan.ops.size() - 1);
+  }
+  plan.result = prev;
+  return std::make_shared<const Plan>(std::move(plan));
+}
+
+Result<Matrix> VertexEmbeddings(const Gnn101Model& model, const Graph& g) {
+  return Run(model.input_dim(), g,
+             [&] { return CompileModel(CompileGnn101ToGel(model)); });
+}
+
+Result<Matrix> GraphEmbedding(const Gnn101Model& model, const Graph& g) {
+  return Run(model.input_dim(), g,
+             [&] { return CompileModel(CompileGnn101GraphToGel(model)); });
+}
+
+Result<Matrix> VertexEmbeddings(const GinModel& model, const Graph& g) {
+  return Run(model.input_dim(), g,
+             [&] { return CompileModel(CompileGinToGel(model)); });
+}
+
+Result<Matrix> GraphEmbedding(const GinModel& model, const Graph& g) {
+  return Run(model.input_dim(), g,
+             [&] { return CompileModel(CompileGinGraphToGel(model)); });
+}
+
+Result<Matrix> VertexEmbeddings(const MpnnModel& model, const Graph& g) {
+  return Run(model.input_dim(), g,
+             [&] { return CompileModel(CompileMpnnToGel(model)); });
+}
+
+Result<Matrix> GraphEmbedding(const MpnnModel& model, const Graph& g) {
+  return Run(model.input_dim(), g,
+             [&] { return CompileModel(CompileMpnnGraphToGel(model)); });
+}
+
+Result<Matrix> VertexEmbeddings(const GcnModel& model, const Graph& g) {
+  return Run(model.input_dim(), g, [&] { return CompileGcnToPlan(model); });
+}
+
+Result<Matrix> VertexEmbeddings(const GraphSageModel& model, const Graph& g) {
+  return Run(model.input_dim(), g,
+             [&] { return CompileModel(CompileGraphSageToGel(model)); });
+}
+
+Result<Matrix> VertexEmbeddings(const IdGnnModel& model, const Graph& g) {
+  const size_t d = model.graph_feature_dim();
+  GELC_RETURN_NOT_OK(CheckFeatureDim(d, g));
+  GELC_ASSIGN_OR_RETURN(PlanPtr plan,
+                        CompileModel(CompileGnn101ToGel(model.base())));
+  const size_t n = g.num_vertices();
+  // Marked copy of g: same edges, features padded with a marker column.
+  Graph marked(n, d + 1, g.directed());
+  for (size_t u = 0; u < n; ++u) {
+    for (VertexId v : g.Neighbors(static_cast<VertexId>(u))) {
+      if (!g.directed() && v < u) continue;
+      GELC_RETURN_NOT_OK(marked.AddEdge(static_cast<VertexId>(u), v));
+    }
+    for (size_t j = 0; j < d; ++j)
+      marked.mutable_features().At(u, j) = g.features().At(u, j);
+  }
+  Matrix out(n, model.base().layers().back().w1.cols());
+  for (size_t v = 0; v < n; ++v) {
+    marked.mutable_features().At(v, d) = 1.0;
+    GELC_ASSIGN_OR_RETURN(Matrix f, ExecutePlan(*plan, marked));
+    marked.mutable_features().At(v, d) = 0.0;
+    for (size_t j = 0; j < out.cols(); ++j) out.At(v, j) = f.At(v, j);
+  }
+  return out;
+}
+
+Result<Matrix> GraphEmbedding(const IdGnnModel& model, const Graph& g) {
+  GELC_ASSIGN_OR_RETURN(Matrix f, VertexEmbeddings(model, g));
+  return f.ColSums();
 }
 
 }  // namespace gelc

@@ -48,9 +48,9 @@ Result<OmegaPtr> Linear(const std::vector<size_t>& arg_dims, Matrix w,
   // Per-argument partial sums, combined left to right with the bias added
   // last: (x_1 W_1) + (x_2 W_2) + ... + b, each partial accumulated in
   // ascending component order from 0 with no zero-skip. This is the exact
-  // grouping of the per-argument MatMul + AddRowBroadcast sequence used by
-  // the hand-written GNN forwards and the compiled-plan executor, so all
-  // three paths produce identical bits.
+  // grouping of the per-argument MatMul + AddRowBroadcast sequence and of
+  // the compiled-plan executor's fused layer, so all of them produce
+  // identical bits.
   f->fn = [dims, wp, bp](const std::vector<const double*>& args,
                          double* out) {
     size_t out_dim = wp->cols();
@@ -152,7 +152,7 @@ Result<OmegaPtr> FromMlp(const std::vector<size_t>& arg_dims, Mlp mlp) {
 }
 
 Result<OmegaPtr> Project(size_t d, size_t begin, size_t len) {
-  if (begin + len > d || len == 0) {
+  if (begin > d || len > d - begin || len == 0) {
     return Status::OutOfRange("Project: component range out of range");
   }
   auto f = std::make_shared<OmegaFn>();

@@ -348,10 +348,19 @@ class Parser {
             "project needs two parameters: project[begin,len](...)");
       }
       if (args.size() != 1) return arity_error(1);
+      // Both parameters count components: whole, non-negative and at most
+      // the argument's width, checked on the double before the cast.
+      const size_t d = args[0]->dim();
+      for (double p : params) {
+        if (!(p >= 0) || p != std::floor(p) || p > static_cast<double>(d)) {
+          return Status::IOError(
+              "project parameters must be whole numbers in [0, " +
+              std::to_string(d) + "]");
+        }
+      }
       GELC_ASSIGN_OR_RETURN(
-          OmegaPtr fn,
-          omega::Project(args[0]->dim(), static_cast<size_t>(params[0]),
-                         static_cast<size_t>(params[1])));
+          OmegaPtr fn, omega::Project(d, static_cast<size_t>(params[0]),
+                                      static_cast<size_t>(params[1])));
       return Expr::Apply(std::move(fn), std::move(args));
     }
     return Status::IOError("unknown function '" + name +

@@ -635,41 +635,6 @@ Result<PlanPtr> CompileToPlan(const ExprPtr& e) {
   return CompileToPlan(e, PlanOptions{}, nullptr);
 }
 
-Result<PlanPtr> CompileGcnToPlan(const GcnModel& model) {
-  if (model.layers().empty()) {
-    return Status::InvalidArgument("GCN model has no layers");
-  }
-  Plan plan;
-  size_t in_dim = model.layers().front().w.rows();
-  PlanOp load;
-  load.kind = PlanOpKind::kLoadLabels;
-  load.type = {true, static_cast<uint32_t>(in_dim)};
-  for (size_t j = 0; j < in_dim; ++j) load.label_cols.push_back(j);
-  plan.ops.push_back(std::move(load));
-  uint32_t prev = 0;
-  for (const GcnModel::Layer& layer : model.layers()) {
-    if (layer.w.rows() != plan.ops[prev].type.dim) {
-      return Status::InvalidArgument("GCN layer dimension mismatch");
-    }
-    PlanOp op;
-    op.kind = PlanOpKind::kFusedLayer;
-    op.type = {true, static_cast<uint32_t>(layer.w.cols())};
-    PlanLayerArg arg;
-    arg.input = prev;
-    arg.w = std::make_shared<const Matrix>(layer.w);
-    arg.aggregated = true;
-    arg.agg = ThetaAgg::Kind::kSum;
-    arg.csr = PlanCsr::kNorm;
-    arg.gather = PlanGather::kNeighbor;
-    op.args = {std::move(arg)};
-    op.act = layer.act;
-    plan.ops.push_back(std::move(op));
-    prev = static_cast<uint32_t>(plan.ops.size() - 1);
-  }
-  plan.result = prev;
-  return std::make_shared<const Plan>(std::move(plan));
-}
-
 PlanCache::PlanCache(PlanOptions options) : options_(options) {}
 
 Result<PlanPtr> PlanCache::GetOrCompile(const ExprPtr& e) {

@@ -22,6 +22,10 @@
 // bit-identical to the interpreter at any thread count — except under
 // PlanOptions::reassociate, which explicitly trades bit-identity for
 // fewer flops (see below).
+//
+// Fixed-weight GNNs run through this compiler: core/compile_gnn.h lowers
+// each model family to GEL (GCN straight to a plan) and executes the
+// result, so the plan executor is the one inference path.
 #ifndef GELC_CORE_PLAN_COMPILE_H_
 #define GELC_CORE_PLAN_COMPILE_H_
 
@@ -34,7 +38,6 @@
 #include "base/status.h"
 #include "core/expr.h"
 #include "core/plan.h"
-#include "gnn/mpnn.h"
 
 namespace gelc {
 
@@ -73,12 +76,6 @@ struct CompileStats {
 Result<PlanPtr> CompileToPlan(const ExprPtr& e, const PlanOptions& options,
                               CompileStats* stats);
 Result<PlanPtr> CompileToPlan(const ExprPtr& e);
-
-/// Direct model lowering for GCN, whose normalized propagation operator
-/// D̃^{-1/2}(A+I)D̃^{-1/2} is weighted and therefore not expressible as a
-/// GEL edge guard: one fused layer per GCN layer over PlanCsr::kNorm.
-/// Bit-identical to GcnModel::VertexEmbeddings.
-Result<PlanPtr> CompileGcnToPlan(const GcnModel& model);
 
 /// A keyed plan cache: structurally identical queries (after binder
 /// minimization) compile once. Caller-owned and intentionally not

@@ -1,9 +1,9 @@
 #include "gnn/gat.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "base/logging.h"
-#include "gnn/mpnn.h"
 
 namespace gelc {
 
@@ -85,7 +85,7 @@ Result<Matrix> GatModel::VertexEmbeddings(const Graph& g) const {
 
 Result<Matrix> GatModel::GraphEmbedding(const Graph& g) const {
   GELC_ASSIGN_OR_RETURN(Matrix h, VertexEmbeddings(g));
-  return PoolVertices(h, Aggregation::kMean);
+  return h.ColMeans();
 }
 
 }  // namespace gelc

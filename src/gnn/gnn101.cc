@@ -1,8 +1,6 @@
 #include "gnn/gnn101.h"
 
 #include "base/logging.h"
-#include "tensor/fused.h"
-#include "tensor/sparse.h"
 
 namespace gelc {
 
@@ -53,48 +51,6 @@ size_t Gnn101Model::input_dim() const { return layers_.front().w1.rows(); }
 
 size_t Gnn101Model::output_dim() const {
   return has_readout_ ? readout_.w.cols() : layers_.back().w1.cols();
-}
-
-Result<Matrix> Gnn101Model::VertexEmbeddings(const Graph& g) const {
-  if (g.feature_dim() != input_dim()) {
-    return Status::InvalidArgument("graph feature dim does not match model");
-  }
-  Matrix f = g.features();
-  const CsrMatrix& a = g.Csr().adjacency();
-  // One fused CSR-row pass per layer: neighbor sum, both weight products,
-  // bias and activation with no aggregate or product temporaries. The
-  // kernel's accumulation order matches the former
-  // f.MatMul(w1) + SpMM(a, f).MatMul(w2) composition bit-for-bit.
-  Matrix next;
-  for (const Gnn101Layer& l : layers_) {
-    FusedLayerArg self;
-    self.values = &f;
-    self.w = &l.w1;
-    FusedLayerArg agg;
-    agg.values = &f;
-    agg.w = &l.w2;
-    agg.csr = &a;
-    agg.agg = FusedAgg::kSum;
-    FusedLayerInto(g.num_vertices(), {self, agg}, &l.b, l.act, &next);
-    f = std::move(next);
-  }
-  return f;
-}
-
-Result<Matrix> Gnn101Model::GraphEmbedding(const Graph& g) const {
-  if (!has_readout_) {
-    return Status::FailedPrecondition("model has no readout");
-  }
-  GELC_ASSIGN_OR_RETURN(Matrix f, VertexEmbeddings(g));
-  // Pool + readout in the fused form (bit-identical to the former
-  // ColSums / MatMul / AddRowBroadcast / ApplyActivation chain).
-  Matrix pooled = PoolRows(f, FusedAgg::kSum, f.rows(), false);
-  FusedLayerArg arg;
-  arg.values = &pooled;
-  arg.w = &readout_.w;
-  Matrix out;
-  FusedLayerInto(1, {arg}, &readout_.b, readout_.act, &out);
-  return out;
 }
 
 }  // namespace gelc

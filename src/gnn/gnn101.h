@@ -15,7 +15,6 @@
 
 #include "base/rng.h"
 #include "base/status.h"
-#include "graph/graph.h"
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
 
@@ -36,7 +35,9 @@ struct Gnn101Readout {
   Activation act = Activation::kIdentity;
 };
 
-/// An immutable GNN-101 model (fixed weights; inference only).
+/// An immutable GNN-101 model: fixed weights, no forward of its own.
+/// Inference lowers it to GEL and runs the compiled plan
+/// (VertexEmbeddings / GraphEmbedding in core/compile_gnn.h).
 class Gnn101Model {
  public:
   explicit Gnn101Model(std::vector<Gnn101Layer> layers);
@@ -49,13 +50,6 @@ class Gnn101Model {
   static Result<Gnn101Model> Random(const std::vector<size_t>& widths,
                                     Activation act, double weight_scale,
                                     Rng* rng);
-
-  /// Runs all layers; returns the n x d_L vertex embedding matrix F^(L).
-  /// Errors if the graph's feature dimension does not match layer 0.
-  Result<Matrix> VertexEmbeddings(const Graph& g) const;
-
-  /// Applies the readout to F^(L); errors if no readout was configured.
-  Result<Matrix> GraphEmbedding(const Graph& g) const;
 
   size_t num_layers() const { return layers_.size(); }
   size_t input_dim() const;

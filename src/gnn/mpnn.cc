@@ -1,14 +1,6 @@
 #include "gnn/mpnn.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "base/logging.h"
-#include "base/parallel.h"
-#include "tensor/fused.h"
-#include "tensor/segment.h"
-#include "tensor/simd.h"
-#include "tensor/sparse.h"
 
 namespace gelc {
 
@@ -22,82 +14,6 @@ const char* AggregationName(Aggregation agg) {
       return "max";
   }
   return "unknown";
-}
-
-namespace {
-
-// Aggregation work (madds) below which AggregateNeighbors stays serial,
-// mirroring the SpMM/MatMul thresholds in tensor/.
-constexpr size_t kAggSerialWork = size_t{1} << 16;
-constexpr size_t kAggShardWork = size_t{1} << 15;
-
-}  // namespace
-
-Matrix AggregateNeighbors(const Graph& g, const Matrix& f, Aggregation agg) {
-  GELC_CHECK(f.rows() == g.num_vertices());
-  return AggregateNeighbors(g.Csr().adjacency(), f, agg);
-}
-
-Matrix AggregateNeighbors(const CsrMatrix& a, const Matrix& f,
-                          Aggregation agg) {
-  GELC_CHECK(f.rows() == a.rows);
-  size_t n = f.rows();
-  size_t d = f.cols();
-  // CSR rows are each vertex's ascending neighbor list; every output row
-  // is owned by one shard and accumulated in that fixed order, so the
-  // result is bit-identical for any thread count.
-  Matrix out(n, d);
-  const double* fdata = f.data().data();
-  double* odata = out.mutable_data().data();
-  auto row_range = [&a, fdata, odata, d, agg](size_t row_begin,
-                                              size_t row_end) {
-    for (size_t v = row_begin; v < row_end; ++v) {
-      size_t begin = a.row_offsets[v];
-      size_t end = a.row_offsets[v + 1];
-      if (begin == end) continue;
-      double* orow = odata + v * d;
-      switch (agg) {
-        case Aggregation::kSum:
-        case Aggregation::kMean:
-          for (size_t k = begin; k < end; ++k) {
-            simd::AddRow(orow, fdata + size_t{a.col_indices[k]} * d, d);
-          }
-          if (agg == Aggregation::kMean) {
-            simd::DivRow(orow, static_cast<double>(end - begin), d);
-          }
-          break;
-        case Aggregation::kMax: {
-          const double* first = fdata + size_t{a.col_indices[begin]} * d;
-          for (size_t j = 0; j < d; ++j) orow[j] = first[j];
-          for (size_t k = begin + 1; k < end; ++k) {
-            simd::MaxRow(orow, fdata + size_t{a.col_indices[k]} * d, d);
-          }
-          break;
-        }
-      }
-    }
-  };
-  size_t work = a.nnz() * std::max<size_t>(d, 1);
-  if (work < kAggSerialWork || n == 0) {
-    row_range(0, n);
-    return out;
-  }
-  size_t row_work = std::max<size_t>(1, work / n);
-  size_t grain = std::max<size_t>(1, kAggShardWork / row_work);
-  ParallelFor(0, n, grain, row_range);
-  return out;
-}
-
-Matrix PoolVertices(const Matrix& f, Aggregation pool) {
-  switch (pool) {
-    case Aggregation::kSum:
-      return f.ColSums();
-    case Aggregation::kMean:
-      return f.ColMeans();
-    case Aggregation::kMax:
-      return f.rows() > 0 ? f.ColMax() : Matrix(1, f.cols());
-  }
-  return f.ColSums();
 }
 
 MpnnModel::MpnnModel(std::vector<MpnnLayer> layers)
@@ -145,64 +61,6 @@ Result<MpnnModel> MpnnModel::Random(const std::vector<size_t>& widths,
   return MpnnModel(std::move(layers), std::move(readout));
 }
 
-Result<Matrix> MpnnModel::VertexEmbeddings(const Graph& g) const {
-  if (g.feature_dim() != input_dim()) {
-    return Status::InvalidArgument("graph feature dim does not match model");
-  }
-  Matrix f = g.features();
-  for (const MpnnLayer& l : layers_) {
-    Matrix agg = AggregateNeighbors(g, f, l.agg);
-    f = l.update.Forward(f.ConcatCols(agg));
-  }
-  return f;
-}
-
-Result<Matrix> MpnnModel::GraphEmbedding(const Graph& g) const {
-  if (!readout_.has_value()) {
-    return Status::FailedPrecondition("model has no readout");
-  }
-  GELC_ASSIGN_OR_RETURN(Matrix f, VertexEmbeddings(g));
-  return readout_->mlp.Forward(PoolVertices(f, readout_->pool));
-}
-
-Result<Matrix> MpnnModel::VertexEmbeddings(const GraphBatch& batch) const {
-  if (batch.feature_dim() != input_dim()) {
-    return Status::InvalidArgument("batch feature dim does not match model");
-  }
-  // One aggregation pass over the block-diagonal adjacency per layer;
-  // the update MLP is row-local, so every block matches the standalone
-  // forward bit-for-bit.
-  Matrix f = batch.features();
-  for (const MpnnLayer& l : layers_) {
-    Matrix agg = AggregateNeighbors(batch.adjacency(), f, l.agg);
-    f = l.update.Forward(f.ConcatCols(agg));
-  }
-  return f;
-}
-
-Result<Matrix> MpnnModel::GraphEmbeddings(const GraphBatch& batch) const {
-  if (!readout_.has_value()) {
-    return Status::FailedPrecondition("model has no readout");
-  }
-  GELC_ASSIGN_OR_RETURN(Matrix f, VertexEmbeddings(batch));
-  // Segment pooling reduces each block with the same accumulation chain
-  // as PoolVertices over that block alone; the readout MLP is row-local.
-  const std::vector<size_t>& offsets = batch.vertex_offsets();
-  Matrix pooled;
-  switch (readout_->pool) {
-    case Aggregation::kSum:
-      pooled = SegmentSum(f, offsets);
-      break;
-    case Aggregation::kMean:
-      pooled = SegmentMean(f, offsets);
-      break;
-    case Aggregation::kMax:
-      pooled = SegmentMax(f, offsets);
-      break;
-  }
-  return readout_->mlp.Forward(pooled);
-}
-
 GinModel::GinModel(std::vector<GinLayer> layers, Mlp readout_mlp)
     : layers_(std::move(layers)), readout_mlp_(std::move(readout_mlp)) {
   GELC_CHECK(!layers_.empty());
@@ -234,26 +92,6 @@ Result<GinModel> GinModel::Random(const std::vector<size_t>& widths,
   return GinModel(std::move(layers), std::move(readout));
 }
 
-Result<Matrix> GinModel::VertexEmbeddings(const Graph& g) const {
-  if (g.feature_dim() != input_dim()) {
-    return Status::InvalidArgument("graph feature dim does not match model");
-  }
-  Matrix f = g.features();
-  // (1 + eps) * self + neighbor-sum in one fused CSR pass (bit-identical
-  // to the former AggregateNeighbors + scale + add composition).
-  Matrix combined;
-  for (const GinLayer& l : layers_) {
-    FusedGinCombineInto(g.Csr().adjacency(), f, 1.0 + l.eps, &combined);
-    f = l.mlp.Forward(combined);
-  }
-  return f;
-}
-
-Result<Matrix> GinModel::GraphEmbedding(const Graph& g) const {
-  GELC_ASSIGN_OR_RETURN(Matrix f, VertexEmbeddings(g));
-  return readout_mlp_.Forward(f.ColSums());
-}
-
 GcnModel::GcnModel(std::vector<Layer> layers) : layers_(std::move(layers)) {
   GELC_CHECK(!layers_.empty());
   for (size_t i = 0; i + 1 < layers_.size(); ++i) {
@@ -273,20 +111,6 @@ Result<GcnModel> GcnModel::Random(const std::vector<size_t>& widths,
     layers.push_back(std::move(l));
   }
   return GcnModel(std::move(layers));
-}
-
-Result<Matrix> GcnModel::VertexEmbeddings(const Graph& g) const {
-  if (g.feature_dim() != layers_.front().w.rows()) {
-    return Status::InvalidArgument("graph feature dim does not match model");
-  }
-  // Normalized adjacency with self-loops, D̃^{-1/2} (A + I) D̃^{-1/2},
-  // prebuilt in CSR form so the propagation never densifies.
-  const CsrMatrix& a = g.Csr().normalized();
-  Matrix f = g.features();
-  for (const Layer& l : layers_) {
-    f = ApplyActivation(l.act, SpMM(a, f).MatMul(l.w));
-  }
-  return f;
 }
 
 GraphSageModel::GraphSageModel(std::vector<Layer> layers)
@@ -315,19 +139,6 @@ Result<GraphSageModel> GraphSageModel::Random(
     layers.push_back(std::move(l));
   }
   return GraphSageModel(std::move(layers));
-}
-
-Result<Matrix> GraphSageModel::VertexEmbeddings(const Graph& g) const {
-  if (g.feature_dim() * 2 != layers_.front().w.rows()) {
-    return Status::InvalidArgument("graph feature dim does not match model");
-  }
-  Matrix f = g.features();
-  for (const Layer& l : layers_) {
-    Matrix agg = AggregateNeighbors(g, f, Aggregation::kMean);
-    f = ApplyActivation(l.act,
-                        f.ConcatCols(agg).MatMul(l.w).AddRowBroadcast(l.b));
-  }
-  return f;
 }
 
 }  // namespace gelc

@@ -18,9 +18,6 @@
 #include "base/rng.h"
 #include "base/status.h"
 #include "gnn/mlp.h"
-#include "graph/batch.h"
-#include "graph/graph.h"
-#include "tensor/sparse.h"
 
 namespace gelc {
 
@@ -28,21 +25,6 @@ namespace gelc {
 enum class Aggregation { kSum, kMean, kMax };
 
 const char* AggregationName(Aggregation agg);
-
-/// agg_θ over each vertex's out-neighborhood: row v of the result
-/// aggregates the rows {f_u : u ∈ N(v)}. Vertices without neighbors
-/// aggregate to the zero row (for kMax as well, by convention).
-Matrix AggregateNeighbors(const Graph& g, const Matrix& f, Aggregation agg);
-
-/// The same aggregation over an explicit CSR adjacency operator (row v =
-/// v's neighbor list, ascending). This is the batched entry point: a
-/// GraphBatch's block-diagonal adjacency() aggregates every member graph
-/// in one pass, bit-identical per block to the per-graph call.
-Matrix AggregateNeighbors(const CsrMatrix& adjacency, const Matrix& f,
-                          Aggregation agg);
-
-/// Pools all vertex rows into one row (the readout aggregate, slide 40).
-Matrix PoolVertices(const Matrix& f, Aggregation pool);
 
 /// One MPNN layer: aggregation choice plus update MLP applied to
 /// [self | aggregate] rows (input width = 2 * d_in).
@@ -57,27 +39,21 @@ struct MpnnReadout {
   Mlp mlp;
 };
 
-/// A fixed-weight message passing network (inference only).
+/// A fixed-weight message passing network. Like every model in this
+/// header it holds weights only; inference runs the compiled GEL plan
+/// (VertexEmbeddings / GraphEmbedding in core/compile_gnn.h).
 class MpnnModel {
  public:
   explicit MpnnModel(std::vector<MpnnLayer> layers);
   MpnnModel(std::vector<MpnnLayer> layers, MpnnReadout readout);
 
   /// Random model: `widths[0]` is the input dim; layer i maps widths[i] ->
-  /// widths[i+1] with a 1-hidden-layer ReLU update MLP. A sum-pool readout
-  /// MLP to `widths.back()` is attached.
+  /// widths[i+1] with a 1-hidden-layer ReLU update MLP. A readout that
+  /// pools with `agg` and maps through an MLP to `widths.back()` is
+  /// attached.
   static Result<MpnnModel> Random(const std::vector<size_t>& widths,
                                   Aggregation agg, double weight_scale,
                                   Rng* rng);
-
-  Result<Matrix> VertexEmbeddings(const Graph& g) const;
-  Result<Matrix> GraphEmbedding(const Graph& g) const;
-  /// Batched forward over a block-diagonal GraphBatch; block i of the
-  /// result is bit-identical to VertexEmbeddings on member graph i.
-  Result<Matrix> VertexEmbeddings(const GraphBatch& batch) const;
-  /// Batched readout: row i is bit-identical to GraphEmbedding on member
-  /// graph i (segment-pooled per block, then the readout MLP row-wise).
-  Result<Matrix> GraphEmbeddings(const GraphBatch& batch) const;
 
   size_t num_layers() const { return layers_.size(); }
   size_t input_dim() const { return layers_.front().update.in_dim() / 2; }
@@ -105,12 +81,9 @@ class GinModel {
   static Result<GinModel> Random(const std::vector<size_t>& widths,
                                  double weight_scale, Rng* rng);
 
-  Result<Matrix> VertexEmbeddings(const Graph& g) const;
-  /// Sum-pools final vertex embeddings, then applies the readout MLP.
-  Result<Matrix> GraphEmbedding(const Graph& g) const;
-
   size_t input_dim() const { return layers_.front().mlp.in_dim(); }
   const std::vector<GinLayer>& layers() const { return layers_; }
+  /// The readout: applied to the sum of the final vertex embeddings.
   const Mlp& readout_mlp() const { return readout_mlp_; }
 
  private:
@@ -131,8 +104,7 @@ class GcnModel {
   static Result<GcnModel> Random(const std::vector<size_t>& widths,
                                  double weight_scale, Rng* rng);
 
-  Result<Matrix> VertexEmbeddings(const Graph& g) const;
-
+  size_t input_dim() const { return layers_.front().w.rows(); }
   const std::vector<Layer>& layers() const { return layers_; }
 
  private:
@@ -153,8 +125,7 @@ class GraphSageModel {
   static Result<GraphSageModel> Random(const std::vector<size_t>& widths,
                                        double weight_scale, Rng* rng);
 
-  Result<Matrix> VertexEmbeddings(const Graph& g) const;
-
+  size_t input_dim() const { return layers_.front().w.rows() / 2; }
   const std::vector<Layer>& layers() const { return layers_; }
 
  private:

@@ -23,39 +23,4 @@ Result<IdGnnModel> IdGnnModel::Random(const std::vector<size_t>& widths,
   return IdGnnModel(std::move(base), widths[0]);
 }
 
-Result<Matrix> IdGnnModel::VertexEmbeddings(const Graph& g) const {
-  if (g.feature_dim() != graph_feature_dim_) {
-    return Status::InvalidArgument("graph feature dim does not match model");
-  }
-  size_t n = g.num_vertices();
-  // Marked copy of g: same edges, features padded with a marker column.
-  Graph marked(n, graph_feature_dim_ + 1, g.directed());
-  for (size_t u = 0; u < n; ++u) {
-    for (VertexId v : g.Neighbors(static_cast<VertexId>(u))) {
-      if (!g.directed() && v < u) continue;
-      GELC_RETURN_NOT_OK(marked.AddEdge(static_cast<VertexId>(u), v));
-    }
-    for (size_t j = 0; j < graph_feature_dim_; ++j)
-      marked.mutable_features().At(u, j) = g.features().At(u, j);
-  }
-  size_t out_dim = 0;
-  Matrix out;
-  for (size_t v = 0; v < n; ++v) {
-    marked.mutable_features().At(v, graph_feature_dim_) = 1.0;
-    GELC_ASSIGN_OR_RETURN(Matrix f, base_.VertexEmbeddings(marked));
-    marked.mutable_features().At(v, graph_feature_dim_) = 0.0;
-    if (v == 0) {
-      out_dim = f.cols();
-      out = Matrix(n, out_dim);
-    }
-    for (size_t j = 0; j < out_dim; ++j) out.At(v, j) = f.At(v, j);
-  }
-  return out;
-}
-
-Result<Matrix> IdGnnModel::GraphEmbedding(const Graph& g) const {
-  GELC_ASSIGN_OR_RETURN(Matrix f, VertexEmbeddings(g));
-  return f.ColSums();
-}
-
 }  // namespace gelc

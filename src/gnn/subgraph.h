@@ -12,12 +12,15 @@
 #include "base/rng.h"
 #include "base/status.h"
 #include "gnn/gnn101.h"
-#include "graph/graph.h"
 
 namespace gelc {
 
 /// An identity-aware GNN built on a GNN-101 base whose input dimension is
-/// the graph feature dimension plus one marker column.
+/// the graph feature dimension plus one marker column. Weights only: the
+/// forward (VertexEmbeddings / GraphEmbedding in core/compile_gnn.h)
+/// compiles the base once and runs its plan once per marked vertex; row v
+/// comes from the run where v carries the marker, and the graph embedding
+/// sum-pools those rows (no extra readout MLP).
 class IdGnnModel {
  public:
   /// `base` must have input dim = graph_feature_dim + 1.
@@ -29,12 +32,7 @@ class IdGnnModel {
                                    Activation act, double weight_scale,
                                    Rng* rng);
 
-  /// Vertex embeddings: row v comes from the run where v carries the
-  /// marker.
-  Result<Matrix> VertexEmbeddings(const Graph& g) const;
-  /// Sum-pooled identity-aware vertex embeddings (no extra readout MLP).
-  Result<Matrix> GraphEmbedding(const Graph& g) const;
-
+  const Gnn101Model& base() const { return base_; }
   size_t graph_feature_dim() const { return graph_feature_dim_; }
 
  private:

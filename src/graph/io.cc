@@ -1,5 +1,8 @@
 #include "graph/io.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <sstream>
 
@@ -23,10 +26,24 @@ Result<Graph> ParseGraphText(const std::string& text) {
     };
     if (kind == "graph") {
       if (g.has_value()) return err("duplicate graph header");
-      size_t n, d;
+      // Signed, so "-1" is an error instead of a wrapped size; every
+      // bound is checked before the graph is allocated.
+      long long n, d;
       int directed;
       if (!(ls >> n >> d >> directed)) return err("malformed graph header");
-      g.emplace(n, d, directed != 0);
+      if (n < 0 || d < 0) return err("negative graph size");
+      if (static_cast<unsigned long long>(n) >
+          std::numeric_limits<VertexId>::max()) {
+        return err("vertex count exceeds the 32-bit vertex id range");
+      }
+      if (static_cast<uint64_t>(d) > kMaxGraphTextCells ||
+          static_cast<uint64_t>(n) * std::max<uint64_t>(d, 1) >
+              kMaxGraphTextCells) {
+        return err("graph size exceeds " +
+                   std::to_string(kMaxGraphTextCells) + " cells");
+      }
+      g.emplace(static_cast<size_t>(n), static_cast<size_t>(d),
+                directed != 0);
     } else if (kind == "v") {
       if (!g.has_value()) return err("vertex before graph header");
       size_t id;

@@ -7,12 +7,20 @@
 #ifndef GELC_GRAPH_IO_H_
 #define GELC_GRAPH_IO_H_
 
+#include <cstdint>
 #include <string>
 
 #include "base/status.h"
 #include "graph/graph.h"
 
 namespace gelc {
+
+/// The largest graph a text header may declare, counted in cells of
+/// n × max(d, 1): one per feature value, or one per vertex when d = 0.
+/// 2^24 cells is at most 128 MB of features. A larger header, a negative
+/// n or d, or an n beyond the 32-bit VertexId range is an IOError raised
+/// before anything is allocated.
+inline constexpr uint64_t kMaxGraphTextCells = uint64_t{1} << 24;
 
 /// Parses a graph from the text format above.
 Result<Graph> ParseGraphText(const std::string& text);

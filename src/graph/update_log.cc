@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <utility>
@@ -141,12 +142,21 @@ void UpdateLogWriter::Flush() {
 UpdateLogReader::UpdateLogReader(std::istream* in) : in_(in) {
   GELC_CHECK(in_ != nullptr);
   std::string magic;
+  // Signed, so "-1" is an error instead of a wrapped count.
+  long long num_vertices = -1;
   int directed_flag = -1;
-  if (!(*in_ >> magic >> num_vertices_ >> directed_flag) ||
+  if (!(*in_ >> magic >> num_vertices >> directed_flag) ||
       magic != "uplog" || (directed_flag != 0 && directed_flag != 1)) {
     status_ = Status::InvalidArgument("update log: malformed header");
     return;
   }
+  if (num_vertices < 0 || static_cast<unsigned long long>(num_vertices) >
+                              std::numeric_limits<VertexId>::max()) {
+    status_ = Status::InvalidArgument(
+        "update log: vertex count outside the 32-bit vertex id range");
+    return;
+  }
+  num_vertices_ = static_cast<size_t>(num_vertices);
   directed_ = directed_flag == 1;
 }
 

@@ -299,29 +299,6 @@ void RuleDenseAdjacency(const FileContext& ctx, std::vector<Diagnostic>* out) {
 }
 
 // ---------------------------------------------------------------------------
-// interpreter-in-hot-path: the hand-written GNN forwards are the fused
-// fast path; routing them through the table-building Evaluator (or
-// quietly constructing one as a fallback) reintroduces per-node
-// interpretation overhead. GNN-to-GEL round trips belong in core/ and
-// tests/, where the interpreter is the semantics oracle.
-// ---------------------------------------------------------------------------
-void RuleInterpreterInHotPath(const FileContext& ctx,
-                              std::vector<Diagnostic>* out) {
-  if (!PathHasComponent(ctx.path, "gnn")) return;
-  const Tokens& t = ctx.lex->tokens;
-  for (const Token& tok : t) {
-    if (tok.kind != TokenKind::kIdentifier) continue;
-    if (tok.text == "Evaluator") {
-      Report(ctx, tok.line, "interpreter-in-hot-path",
-             "Evaluator under src/gnn interprets expression tables in the "
-             "fused forward path; use the tensor kernels directly or "
-             "compile a plan (core/plan_compile.h)",
-             out);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // csr-rebuild-in-stream-path: the update-log replayer is the streaming
 // hot loop; calling the full Graph::Csr() compaction (or materializing a
 // dense adjacency) per op/batch reintroduces the rebuild-per-mutation
@@ -511,7 +488,6 @@ void RuleUncheckedStatus(const FileContext& ctx,
 const std::vector<std::string>& AllRuleNames() {
   static const std::vector<std::string> kNames = {
       "unchecked-status",  "dense-adjacency-in-hot-path",
-      "interpreter-in-hot-path",
       "csr-rebuild-in-stream-path",
       "segment-boundary-indexing",
       "raw-thread",        "adhoc-timing",
@@ -530,7 +506,6 @@ std::vector<Diagnostic> RunAllRules(const FileContext& ctx) {
   std::vector<Diagnostic> out;
   RuleUncheckedStatus(ctx, &out);
   RuleDenseAdjacency(ctx, &out);
-  RuleInterpreterInHotPath(ctx, &out);
   RuleCsrRebuildInStreamPath(ctx, &out);
   RuleSegmentIndexing(ctx, &out);
   RuleRawThread(ctx, &out);

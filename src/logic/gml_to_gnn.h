@@ -29,7 +29,9 @@ struct CompiledGmlGnn {
 /// Compiles `formula` into GNN-101 weights for graphs of the given feature
 /// dimension. The resulting model satisfies, for every graph g with 0/1
 /// features and every vertex v:
-///   VertexEmbeddings(g)(v, output_coordinate) == 1.0 iff (g, v) ⊨ formula.
+///   VertexEmbeddings(model, g)(v, output_coordinate) == 1.0
+///     iff (g, v) ⊨ formula
+/// (VertexEmbeddings runs the model's compiled plan, core/compile_gnn.h).
 Result<CompiledGmlGnn> CompileGmlToGnn(const GmlPtr& formula,
                                        size_t feature_dim);
 

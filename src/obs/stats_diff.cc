@@ -1,6 +1,7 @@
 #include "obs/stats_diff.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <set>
@@ -208,6 +209,9 @@ class JsonParser {
     const std::string token = text_.substr(start, pos_ - start);
     out->kind = JsonValue::Kind::kNumber;
     out->number_value = std::strtod(token.c_str(), nullptr);
+    if (!std::isfinite(out->number_value)) {
+      return Error("number '" + token + "' is not finite");
+    }
     if (integral) {
       errno = 0;
       const long long v = std::strtoll(token.c_str(), nullptr, 10);

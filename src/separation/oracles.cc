@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <sstream>
 
+#include "core/compile_gnn.h"
 #include "core/eval.h"
 #include "gnn/fgnn.h"
-#include "gnn/gnn101.h"
-#include "gnn/mpnn.h"
-#include "gnn/subgraph.h"
 #include "graph/isomorphism.h"
 #include "hom/hom_count.h"
 #include "hom/trees.h"
@@ -74,88 +73,25 @@ class TreeHomOracle : public EquivalenceOracle {
   std::vector<Graph> trees_;
 };
 
-class Gnn101ProbeOracle : public EquivalenceOracle {
- public:
-  Gnn101ProbeOracle(size_t num_models, std::vector<size_t> hidden_widths,
-                    double tolerance, uint64_t seed)
-      : num_models_(num_models),
-        hidden_widths_(std::move(hidden_widths)),
-        tolerance_(tolerance),
-        seed_(seed) {}
-  std::string name() const override { return "GNN101-probe"; }
-  Result<bool> Equivalent(const Graph& a, const Graph& b) override {
-    if (a.feature_dim() != b.feature_dim()) return false;
-    Rng rng(seed_);
-    std::vector<size_t> widths = {a.feature_dim()};
-    widths.insert(widths.end(), hidden_widths_.begin(),
-                  hidden_widths_.end());
-    for (size_t i = 0; i < num_models_; ++i) {
-      GELC_ASSIGN_OR_RETURN(
-          Gnn101Model model,
-          Gnn101Model::Random(widths, Activation::kTanh, 0.8, &rng));
-      GELC_ASSIGN_OR_RETURN(Matrix ea, model.GraphEmbedding(a));
-      GELC_ASSIGN_OR_RETURN(Matrix eb, model.GraphEmbedding(b));
-      if (ea.rows() != eb.rows() || ea.cols() != eb.cols()) return false;
-      if (ea.MaxAbsDiff(eb) > tolerance_) return false;
-    }
-    return true;
-  }
-
- private:
-  size_t num_models_;
-  std::vector<size_t> hidden_widths_;
-  double tolerance_;
-  uint64_t seed_;
-};
-
-class MpnnProbeOracle : public EquivalenceOracle {
- public:
-  MpnnProbeOracle(size_t num_models, std::vector<size_t> hidden_widths,
-                  Aggregation agg, double tolerance, uint64_t seed)
-      : num_models_(num_models),
-        hidden_widths_(std::move(hidden_widths)),
-        agg_(agg),
-        tolerance_(tolerance),
-        seed_(seed) {}
-  std::string name() const override {
-    return std::string("MPNN[") + AggregationName(agg_) + "]-probe";
-  }
-  Result<bool> Equivalent(const Graph& a, const Graph& b) override {
-    if (a.feature_dim() != b.feature_dim()) return false;
-    Rng rng(seed_);
-    std::vector<size_t> widths = {a.feature_dim()};
-    widths.insert(widths.end(), hidden_widths_.begin(),
-                  hidden_widths_.end());
-    for (size_t i = 0; i < num_models_; ++i) {
-      GELC_ASSIGN_OR_RETURN(MpnnModel model,
-                            MpnnModel::Random(widths, agg_, 0.8, &rng));
-      GELC_ASSIGN_OR_RETURN(Matrix ea, model.GraphEmbedding(a));
-      GELC_ASSIGN_OR_RETURN(Matrix eb, model.GraphEmbedding(b));
-      if (ea.MaxAbsDiff(eb) > tolerance_) return false;
-    }
-    return true;
-  }
-
- private:
-  size_t num_models_;
-  std::vector<size_t> hidden_widths_;
-  Aggregation agg_;
-  double tolerance_;
-  uint64_t seed_;
-};
-
-// Shared skeleton for sampled model-class probes over graph embeddings.
-template <typename Model>
+// Sampled ρ(F) for a class of random models: equivalent iff none of
+// `num_models` draws separates the pair's graph embeddings by more than
+// `tolerance` in max norm. Draws come in order from one Rng seeded with
+// `seed`, with widths [feature dim, hidden widths...].
 class ModelProbeOracle : public EquivalenceOracle {
  public:
+  using Embedding = std::function<Result<Matrix>(const Graph&)>;
+  using Draw =
+      std::function<Result<Embedding>(const std::vector<size_t>&, Rng*)>;
+
   ModelProbeOracle(std::string name, size_t num_models,
-                   std::vector<size_t> hidden_widths, double tolerance,
-                   uint64_t seed)
+              std::vector<size_t> hidden_widths, double tolerance,
+              uint64_t seed, Draw draw)
       : name_(std::move(name)),
         num_models_(num_models),
         hidden_widths_(std::move(hidden_widths)),
         tolerance_(tolerance),
-        seed_(seed) {}
+        seed_(seed),
+        draw_(std::move(draw)) {}
   std::string name() const override { return name_; }
   Result<bool> Equivalent(const Graph& a, const Graph& b) override {
     if (a.feature_dim() != b.feature_dim()) return false;
@@ -164,9 +100,9 @@ class ModelProbeOracle : public EquivalenceOracle {
     widths.insert(widths.end(), hidden_widths_.begin(),
                   hidden_widths_.end());
     for (size_t i = 0; i < num_models_; ++i) {
-      GELC_ASSIGN_OR_RETURN(Model model, Model::Random(widths, 0.8, &rng));
-      GELC_ASSIGN_OR_RETURN(Matrix ea, model.GraphEmbedding(a));
-      GELC_ASSIGN_OR_RETURN(Matrix eb, model.GraphEmbedding(b));
+      GELC_ASSIGN_OR_RETURN(Embedding embed, draw_(widths, &rng));
+      GELC_ASSIGN_OR_RETURN(Matrix ea, embed(a));
+      GELC_ASSIGN_OR_RETURN(Matrix eb, embed(b));
       if (ea.rows() != eb.rows() || ea.cols() != eb.cols()) return false;
       if (ea.MaxAbsDiff(eb) > tolerance_) return false;
     }
@@ -179,23 +115,16 @@ class ModelProbeOracle : public EquivalenceOracle {
   std::vector<size_t> hidden_widths_;
   double tolerance_;
   uint64_t seed_;
+  Draw draw_;
 };
 
-// IdGnnModel::Random takes an activation argument; adapt its signature to
-// the probe skeleton.
-struct IdGnnForProbe {
-  IdGnnModel model;
-  static Result<IdGnnForProbe> Random(const std::vector<size_t>& widths,
-                                      double scale, Rng* rng) {
-    GELC_ASSIGN_OR_RETURN(
-        IdGnnModel m,
-        IdGnnModel::Random(widths, Activation::kTanh, scale, rng));
-    return IdGnnForProbe{std::move(m)};
-  }
-  Result<Matrix> GraphEmbedding(const Graph& g) const {
-    return model.GraphEmbedding(g);
-  }
-};
+// The graph embedding of a drawn model that runs as its compiled plan.
+template <typename Model>
+ModelProbeOracle::Embedding CompiledEmbedding(Model model) {
+  return [model = std::move(model)](const Graph& g) {
+    return GraphEmbedding(model, g);
+  };
+}
 
 class GelSuiteOracle : public EquivalenceOracle {
  public:
@@ -242,9 +171,15 @@ OraclePtr MakeTreeHomOracle(size_t max_tree_vertices) {
 OraclePtr MakeGnn101ProbeOracle(size_t num_models,
                                 std::vector<size_t> hidden_widths,
                                 double tolerance, uint64_t seed) {
-  return std::make_unique<Gnn101ProbeOracle>(num_models,
-                                             std::move(hidden_widths),
-                                             tolerance, seed);
+  return std::make_unique<ModelProbeOracle>(
+      "GNN101-probe", num_models, std::move(hidden_widths), tolerance, seed,
+      [](const std::vector<size_t>& widths,
+         Rng* rng) -> Result<ModelProbeOracle::Embedding> {
+        GELC_ASSIGN_OR_RETURN(
+            Gnn101Model model,
+            Gnn101Model::Random(widths, Activation::kTanh, 0.8, rng));
+        return CompiledEmbedding(std::move(model));
+      });
 }
 
 OraclePtr MakeMpnnProbeOracle(size_t num_models,
@@ -254,23 +189,45 @@ OraclePtr MakeMpnnProbeOracle(size_t num_models,
   Aggregation agg = aggregation == 0   ? Aggregation::kSum
                     : aggregation == 1 ? Aggregation::kMean
                                        : Aggregation::kMax;
-  return std::make_unique<MpnnProbeOracle>(num_models,
-                                           std::move(hidden_widths), agg,
-                                           tolerance, seed);
+  return std::make_unique<ModelProbeOracle>(
+      std::string("MPNN[") + AggregationName(agg) + "]-probe", num_models,
+      std::move(hidden_widths), tolerance, seed,
+      [agg](const std::vector<size_t>& widths,
+            Rng* rng) -> Result<ModelProbeOracle::Embedding> {
+        GELC_ASSIGN_OR_RETURN(MpnnModel model,
+                              MpnnModel::Random(widths, agg, 0.8, rng));
+        return CompiledEmbedding(std::move(model));
+      });
 }
 
 OraclePtr MakeFgnn2ProbeOracle(size_t num_models,
                                std::vector<size_t> hidden_widths,
                                double tolerance, uint64_t seed) {
-  return std::make_unique<ModelProbeOracle<Fgnn2Model>>(
-      "2FGNN-probe", num_models, std::move(hidden_widths), tolerance, seed);
+  return std::make_unique<ModelProbeOracle>(
+      "2FGNN-probe", num_models, std::move(hidden_widths), tolerance, seed,
+      [](const std::vector<size_t>& widths,
+         Rng* rng) -> Result<ModelProbeOracle::Embedding> {
+        GELC_ASSIGN_OR_RETURN(Fgnn2Model model,
+                              Fgnn2Model::Random(widths, 0.8, rng));
+        return ModelProbeOracle::Embedding(
+            [model = std::move(model)](const Graph& g) {
+              return model.GraphEmbedding(g);
+            });
+      });
 }
 
 OraclePtr MakeIdGnnProbeOracle(size_t num_models,
                                std::vector<size_t> hidden_widths,
                                double tolerance, uint64_t seed) {
-  return std::make_unique<ModelProbeOracle<IdGnnForProbe>>(
-      "IdGNN-probe", num_models, std::move(hidden_widths), tolerance, seed);
+  return std::make_unique<ModelProbeOracle>(
+      "IdGNN-probe", num_models, std::move(hidden_widths), tolerance, seed,
+      [](const std::vector<size_t>& widths,
+         Rng* rng) -> Result<ModelProbeOracle::Embedding> {
+        GELC_ASSIGN_OR_RETURN(
+            IdGnnModel model,
+            IdGnnModel::Random(widths, Activation::kTanh, 0.8, rng));
+        return CompiledEmbedding(std::move(model));
+      });
 }
 
 OraclePtr MakeGelSuiteOracle(std::vector<ExprPtr> expressions,

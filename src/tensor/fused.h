@@ -1,5 +1,5 @@
-// Fused CSR-row kernels for compiled GEL plans (core/plan_exec.h) and the
-// hand-written GNN forwards.
+// Fused CSR-row kernels for compiled GEL plans (core/plan_exec.h), which
+// are how every fixed-weight GNN runs (core/compile_gnn.h).
 //
 // Each kernel walks every output row once, doing neighbor aggregation,
 // the per-argument linear maps, the bias and the activation in a single

@@ -12,7 +12,7 @@ namespace gelc {
 namespace {
 
 // Reduction work (entries read) below which the kernels stay serial,
-// mirroring the SpMM / MatMul / AggregateNeighbors thresholds.
+// mirroring the SpMM / MatMul / fused-kernel thresholds.
 constexpr size_t kSegmentSerialWork = size_t{1} << 16;
 constexpr size_t kSegmentShardWork = size_t{1} << 15;
 

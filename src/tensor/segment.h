@@ -32,7 +32,7 @@ Matrix SegmentSum(const Matrix& f, const std::vector<size_t>& offsets);
 Matrix SegmentMean(const Matrix& f, const std::vector<size_t>& offsets);
 
 /// Per-segment column max; empty segments yield zero rows (the same
-/// convention as PoolVertices / AggregateNeighbors). When `argmax_rows`
+/// convention as PoolRows / NeighborAggregateInto). When `argmax_rows`
 /// is non-null it is resized to k * f.cols() and entry s * cols + j
 /// receives the absolute row index of the first maximum of column j in
 /// segment s — or f.rows() as a sentinel for empty segments — which is

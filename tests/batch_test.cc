@@ -15,7 +15,6 @@
 #include "autodiff/tape.h"
 #include "base/parallel.h"
 #include "base/rng.h"
-#include "gnn/mpnn.h"
 #include "gnn/trainable.h"
 #include "graph/batch.h"
 #include "graph/generators.h"
@@ -214,36 +213,6 @@ TEST(BatchDifferentialTest, ThreadCountInvariance) {
   for (size_t j = 0; j < grads_at[0].size(); ++j)
     EXPECT_EQ(grads_at[0][j], grads_at[1][j]) << "param " << j;
 }
-
-class MpnnBatchTest : public ::testing::TestWithParam<Aggregation> {};
-
-TEST_P(MpnnBatchTest, BatchedEmbeddingsBitIdentical) {
-  Rng rng(17);
-  MpnnModel model = *MpnnModel::Random({1, 6, 6}, GetParam(), 0.7, &rng);
-  std::vector<Graph> graphs = MixedGraphs();
-  Result<GraphBatch> batch = GraphBatch::Create(Pointers(graphs));
-  ASSERT_TRUE(batch.ok());
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    SetParallelThreadCount(threads);
-    Result<Matrix> vertex = model.VertexEmbeddings(*batch);
-    Result<Matrix> readout = model.GraphEmbeddings(*batch);
-    ASSERT_TRUE(vertex.ok());
-    ASSERT_TRUE(readout.ok());
-    EXPECT_EQ(readout->rows(), graphs.size());
-    for (size_t i = 0; i < graphs.size(); ++i) {
-      EXPECT_EQ(batch->Slice(*vertex, i), *model.VertexEmbeddings(graphs[i]))
-          << AggregationName(GetParam()) << " block " << i;
-      EXPECT_EQ(readout->Row(i), *model.GraphEmbedding(graphs[i]))
-          << AggregationName(GetParam()) << " readout " << i;
-    }
-  }
-  SetParallelThreadCount(0);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllAggregations, MpnnBatchTest,
-                         ::testing::Values(Aggregation::kSum,
-                                           Aggregation::kMean,
-                                           Aggregation::kMax));
 
 TEST(TrainBatchTest, ExplicitFullBatchMatchesDefault) {
   Rng rng(23);

@@ -56,7 +56,7 @@ TEST_P(CompileAgreementTest, ExpressionMatchesNetworkOnRandomGraphs) {
       }
     g.SetOneHotFeature(static_cast<VertexId>(u), rng.NextBounded(2));
   }
-  Matrix network = *model.VertexEmbeddings(g);
+  Matrix network = *VertexEmbeddings(model, g);
   Evaluator eval(g);
   Matrix expression = *eval.EvalVertex(expr);
   EXPECT_TRUE(network.AllClose(expression, 1e-9));
@@ -73,7 +73,7 @@ TEST(CompileGnnTest, GraphReadoutMatchesNetwork) {
   EXPECT_EQ(expr->free_vars(), 0u);
   EXPECT_TRUE(IsMpnnFragment(expr));
   Graph g = RandomGnp(9, 0.4, &rng);
-  Matrix network = *model.GraphEmbedding(g);
+  Matrix network = *GraphEmbedding(model, g);
   Evaluator eval(g);
   std::vector<double> expression = *eval.EvalClosed(expr);
   ASSERT_EQ(expression.size(), network.cols());
@@ -106,7 +106,7 @@ TEST(CompileGnnTest, GinCompilesAndAgrees) {
       }
     g.SetOneHotFeature(static_cast<VertexId>(u), rng.NextBounded(2));
   }
-  Matrix network = *model.VertexEmbeddings(g);
+  Matrix network = *VertexEmbeddings(model, g);
   Evaluator eval(g);
   Matrix expression = *eval.EvalVertex(expr);
   EXPECT_TRUE(network.AllClose(expression, 1e-9));
@@ -128,7 +128,7 @@ TEST(CompileGnnTest, CompiledExpressionSharesLayerSubtrees) {
   Graph g = CycleGraph(6);
   Evaluator eval(g);
   Matrix a = *eval.EvalVertex(expr);
-  Matrix b = *model.VertexEmbeddings(g);
+  Matrix b = *VertexEmbeddings(model, g);
   EXPECT_TRUE(a.AllClose(b, 1e-9));
 }
 

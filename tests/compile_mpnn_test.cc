@@ -41,13 +41,13 @@ TEST_P(MpnnCompileTest, ExpressionMatchesNetwork) {
 
   for (int trial = 0; trial < 3; ++trial) {
     Graph g = RandomLabelled(6 + rng.NextBounded(5), 2, &rng);
-    Matrix network = *model.VertexEmbeddings(g);
+    Matrix network = *VertexEmbeddings(model, g);
     Evaluator eval(g);
     Matrix expression = *eval.EvalVertex(vertex_expr);
     EXPECT_TRUE(network.AllClose(expression, 1e-9))
         << AggregationName(GetParam());
 
-    Matrix graph_net = *model.GraphEmbedding(g);
+    Matrix graph_net = *GraphEmbedding(model, g);
     std::vector<double> graph_expr_val = *eval.EvalClosed(graph_expr);
     for (size_t j = 0; j < graph_expr_val.size(); ++j)
       EXPECT_NEAR(graph_expr_val[j], graph_net.At(0, j), 1e-9);
@@ -67,7 +67,7 @@ TEST(MpnnCompileTest, NormalFormOfCompiledMeanMpnn) {
   NormalFormProgram program = *NormalFormProgram::Normalize(expr);
   EXPECT_EQ(program.num_layers(), 2u);
   Graph g = RandomLabelled(8, 2, &rng);
-  EXPECT_TRUE((*model.VertexEmbeddings(g)).AllClose(*program.Run(g), 1e-9));
+  EXPECT_TRUE((*VertexEmbeddings(model, g)).AllClose(*program.Run(g), 1e-9));
 }
 
 TEST(MpnnCompileTest, GraphReadoutRequiresReadout) {
@@ -88,7 +88,7 @@ TEST(GraphSageCompileTest, ExpressionMatchesNetwork) {
   EXPECT_TRUE(IsMpnnFragment(expr));
   for (int trial = 0; trial < 3; ++trial) {
     Graph g = RandomLabelled(7, 2, &rng);
-    Matrix network = *model.VertexEmbeddings(g);
+    Matrix network = *VertexEmbeddings(model, g);
     Evaluator eval(g);
     Matrix expression = *eval.EvalVertex(expr);
     EXPECT_TRUE(network.AllClose(expression, 1e-9));

@@ -1,6 +1,8 @@
 // Tests for GEL(Ω,Θ) expression construction and validation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/expr.h"
 
 namespace gelc {
@@ -141,6 +143,8 @@ TEST(OmegaTest, LinearValidatesShapes) {
 TEST(OmegaTest, ProjectValidatesRange) {
   EXPECT_FALSE(omega::Project(3, 2, 2).ok());
   EXPECT_FALSE(omega::Project(3, 0, 0).ok());
+  // begin + len wraps to 1 here; the bound check must not.
+  EXPECT_FALSE(omega::Project(2, SIZE_MAX, 2).ok());
   Result<OmegaPtr> p = omega::Project(3, 1, 2);
   ASSERT_TRUE(p.ok());
   double in[] = {7, 8, 9};

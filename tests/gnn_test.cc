@@ -1,13 +1,16 @@
 // Tests for the GNN library: GNN-101, MPNN variants, invariance (slide 11),
-// aggregation behaviour, and ERM training (slides 16-20).
+// aggregation behaviour, and ERM training (slides 16-20). Fixed-weight
+// models run through their compiled plans (core/compile_gnn.h).
 #include <gtest/gtest.h>
 
 #include "base/rng.h"
+#include "core/compile_gnn.h"
 #include "gnn/gnn101.h"
 #include "gnn/mlp.h"
 #include "gnn/mpnn.h"
 #include "gnn/trainable.h"
 #include "graph/generators.h"
+#include "tensor/fused.h"
 
 namespace gelc {
 namespace {
@@ -55,7 +58,7 @@ TEST(Gnn101Test, HandWeightsComputeDegree) {
   l.act = Activation::kIdentity;
   Gnn101Model model({l});
   Graph star = StarGraph(3);
-  Matrix f = *model.VertexEmbeddings(star);
+  Matrix f = *VertexEmbeddings(model, star);
   EXPECT_EQ(f.At(0, 0), 3.0);  // hub
   for (size_t v = 1; v <= 3; ++v) EXPECT_EQ(f.At(v, 0), 1.0);
 }
@@ -69,7 +72,7 @@ TEST(Gnn101Test, TwoLayersPropagateTwoHops) {
   l.act = Activation::kIdentity;
   Gnn101Model model({l, l});
   Graph p = PathGraph(4);  // degrees 1,2,2,1
-  Matrix f = *model.VertexEmbeddings(p);
+  Matrix f = *VertexEmbeddings(model, p);
   EXPECT_EQ(f.At(0, 0), 2.0);      // neighbor degrees of 0: {2}
   EXPECT_EQ(f.At(1, 0), 3.0);      // {1, 2}
 }
@@ -79,7 +82,21 @@ TEST(Gnn101Test, FeatureDimValidated) {
   Gnn101Model model = *Gnn101Model::Random({3, 4}, Activation::kReLU, 0.5,
                                            &rng);
   Graph g = Graph::Unlabeled(4);  // feature dim 1 != 3
-  EXPECT_FALSE(model.VertexEmbeddings(g).ok());
+  EXPECT_FALSE(VertexEmbeddings(model, g).ok());
+  // More feature columns than the model reads is an error too: the plan
+  // alone would silently read the first three.
+  Graph wide(4, 5);
+  EXPECT_FALSE(VertexEmbeddings(model, wide).ok());
+  EXPECT_FALSE(GraphEmbedding(model, wide).ok());
+  GinModel gin = *GinModel::Random({3, 4}, 0.5, &rng);
+  EXPECT_FALSE(VertexEmbeddings(gin, wide).ok());
+  GcnModel gcn = *GcnModel::Random({3, 4}, 0.5, &rng);
+  EXPECT_FALSE(VertexEmbeddings(gcn, wide).ok());
+  GraphSageModel sage = *GraphSageModel::Random({3, 4}, 0.5, &rng);
+  EXPECT_FALSE(VertexEmbeddings(sage, wide).ok());
+  MpnnModel mpnn = *MpnnModel::Random({3, 4}, Aggregation::kSum, 0.5, &rng);
+  EXPECT_FALSE(VertexEmbeddings(mpnn, wide).ok());
+  EXPECT_FALSE(GraphEmbedding(mpnn, wide).ok());
 }
 
 TEST(Gnn101Test, ReadoutRequiresConfiguration) {
@@ -88,7 +105,7 @@ TEST(Gnn101Test, ReadoutRequiresConfiguration) {
   l.w2 = Matrix({{1.0}});
   l.b = Matrix({{0.0}});
   Gnn101Model model({l});
-  EXPECT_FALSE(model.GraphEmbedding(PathGraph(3)).ok());
+  EXPECT_FALSE(GraphEmbedding(model, PathGraph(3)).ok());
 }
 
 TEST(Gnn101Test, InvarianceUnderPermutation) {
@@ -99,43 +116,53 @@ TEST(Gnn101Test, InvarianceUnderPermutation) {
     Graph g = RandomGnp(10, 0.35, &rng);
     std::vector<size_t> perm = rng.Permutation(10);
     Graph h = g.Permuted(perm).value();
-    Matrix fg = *model.VertexEmbeddings(g);
-    Matrix fh = *model.VertexEmbeddings(h);
+    Matrix fg = *VertexEmbeddings(model, g);
+    Matrix fh = *VertexEmbeddings(model, h);
     for (size_t v = 0; v < 10; ++v)
       EXPECT_TRUE(fg.Row(v).AllClose(fh.Row(perm[v]), 1e-9));
-    Matrix eg = *model.GraphEmbedding(g);
-    Matrix eh = *model.GraphEmbedding(h);
+    Matrix eg = *GraphEmbedding(model, g);
+    Matrix eh = *GraphEmbedding(model, h);
     EXPECT_TRUE(eg.AllClose(eh, 1e-9));
   }
+}
+
+// The θ kernels of compiled plans (tensor/fused.h) on hand-checked bags.
+Matrix Aggregate(const Graph& g, const Matrix& f, FusedAgg agg) {
+  Matrix out;
+  NeighborAggregateInto(g.Csr().adjacency(), f, agg, false, false, &out);
+  return out;
 }
 
 TEST(AggregateTest, SumMeanMaxKnownValues) {
   Graph p = PathGraph(3);
   Matrix f = {{1, 10}, {2, 20}, {4, 40}};
-  Matrix sum = AggregateNeighbors(p, f, Aggregation::kSum);
+  Matrix sum = Aggregate(p, f, FusedAgg::kSum);
   EXPECT_EQ(sum.Row(0), Matrix({{2, 20}}));
   EXPECT_EQ(sum.Row(1), Matrix({{5, 50}}));
-  Matrix mean = AggregateNeighbors(p, f, Aggregation::kMean);
+  Matrix mean = Aggregate(p, f, FusedAgg::kMean);
   EXPECT_EQ(mean.Row(1), Matrix({{2.5, 25}}));
-  Matrix mx = AggregateNeighbors(p, f, Aggregation::kMax);
+  Matrix mx = Aggregate(p, f, FusedAgg::kMax);
   EXPECT_EQ(mx.Row(1), Matrix({{4, 40}}));
 }
 
 TEST(AggregateTest, IsolatedVertexAggregatesToZero) {
   Graph g = Graph::Unlabeled(2);  // no edges
   Matrix f = {{3, -1}, {5, 2}};
-  for (Aggregation agg :
-       {Aggregation::kSum, Aggregation::kMean, Aggregation::kMax}) {
-    Matrix out = AggregateNeighbors(g, f, agg);
-    EXPECT_EQ(out, Matrix(2, 2)) << AggregationName(agg);
+  for (FusedAgg agg : {FusedAgg::kSum, FusedAgg::kMean, FusedAgg::kMax}) {
+    EXPECT_EQ(Aggregate(g, f, agg), Matrix(2, 2)) << static_cast<int>(agg);
   }
 }
 
 TEST(AggregateTest, PoolVariants) {
   Matrix f = {{1, -5}, {3, 7}};
-  EXPECT_EQ(PoolVertices(f, Aggregation::kSum), Matrix({{4, 2}}));
-  EXPECT_EQ(PoolVertices(f, Aggregation::kMean), Matrix({{2, 1}}));
-  EXPECT_EQ(PoolVertices(f, Aggregation::kMax), Matrix({{3, 7}}));
+  EXPECT_EQ(PoolRows(f, FusedAgg::kSum, 2, false), Matrix({{4, 2}}));
+  EXPECT_EQ(PoolRows(f, FusedAgg::kMean, 2, false), Matrix({{2, 1}}));
+  EXPECT_EQ(PoolRows(f, FusedAgg::kMax, 2, false), Matrix({{3, 7}}));
+  // An empty pool is the zero row for every θ.
+  for (FusedAgg agg : {FusedAgg::kSum, FusedAgg::kMean, FusedAgg::kMax}) {
+    EXPECT_EQ(PoolRows(Matrix(0, 2), agg, 0, false), Matrix(1, 2))
+        << static_cast<int>(agg);
+  }
 }
 
 class MpnnInvarianceTest
@@ -147,8 +174,8 @@ TEST_P(MpnnInvarianceTest, GraphEmbeddingInvariant) {
   for (int trial = 0; trial < 4; ++trial) {
     Graph g = RandomGnp(9, 0.4, &rng);
     Graph h = g.Permuted(rng.Permutation(9)).value();
-    Matrix eg = *model.GraphEmbedding(g);
-    Matrix eh = *model.GraphEmbedding(h);
+    Matrix eg = *GraphEmbedding(model, g);
+    Matrix eh = *GraphEmbedding(model, h);
     EXPECT_TRUE(eg.AllClose(eh, 1e-9)) << AggregationName(GetParam());
   }
 }
@@ -163,9 +190,9 @@ TEST(GinTest, InvarianceAndShape) {
   GinModel model = *GinModel::Random({1, 5, 5}, 0.7, &rng);
   Graph g = RandomGnp(8, 0.4, &rng);
   Graph h = g.Permuted(rng.Permutation(8)).value();
-  EXPECT_TRUE((*model.GraphEmbedding(g)).AllClose(*model.GraphEmbedding(h),
+  EXPECT_TRUE((*GraphEmbedding(model, g)).AllClose(*GraphEmbedding(model, h),
                                                   1e-9));
-  EXPECT_EQ((*model.VertexEmbeddings(g)).cols(), 5u);
+  EXPECT_EQ((*VertexEmbeddings(model, g)).cols(), 5u);
 }
 
 TEST(GcnTest, InvarianceUnderPermutation) {
@@ -174,8 +201,8 @@ TEST(GcnTest, InvarianceUnderPermutation) {
   Graph g = RandomGnp(8, 0.4, &rng);
   std::vector<size_t> perm = rng.Permutation(8);
   Graph h = g.Permuted(perm).value();
-  Matrix fg = *model.VertexEmbeddings(g);
-  Matrix fh = *model.VertexEmbeddings(h);
+  Matrix fg = *VertexEmbeddings(model, g);
+  Matrix fh = *VertexEmbeddings(model, h);
   for (size_t v = 0; v < 8; ++v)
     EXPECT_TRUE(fg.Row(v).AllClose(fh.Row(perm[v]), 1e-9));
 }
@@ -186,8 +213,8 @@ TEST(GraphSageTest, InvarianceUnderPermutation) {
   Graph g = RandomGnp(8, 0.4, &rng);
   std::vector<size_t> perm = rng.Permutation(8);
   Graph h = g.Permuted(perm).value();
-  Matrix fg = *model.VertexEmbeddings(g);
-  Matrix fh = *model.VertexEmbeddings(h);
+  Matrix fg = *VertexEmbeddings(model, g);
+  Matrix fh = *VertexEmbeddings(model, h);
   for (size_t v = 0; v < 8; ++v)
     EXPECT_TRUE(fg.Row(v).AllClose(fh.Row(perm[v]), 1e-9));
 }
@@ -204,8 +231,8 @@ TEST(MpnnModelTest, SumSeparatesWhatMeanCannot) {
   for (int i = 0; i < 10; ++i) {
     MpnnModel sum_model =
         *MpnnModel::Random({1, 5, 5}, Aggregation::kSum, 0.8, &rng);
-    Matrix a = *sum_model.GraphEmbedding(c3);
-    Matrix b = *sum_model.GraphEmbedding(c3c3);
+    Matrix a = *GraphEmbedding(sum_model, c3);
+    Matrix b = *GraphEmbedding(sum_model, c3c3);
     if (a.MaxAbsDiff(b) > 1e-6) sum_separates = true;
   }
   EXPECT_TRUE(sum_separates);

@@ -352,6 +352,16 @@ TEST(IoTest, ErrorsCarryLineNumbers) {
   EXPECT_FALSE(ParseGraphText("e 0 1\n").ok());       // edge before header
   EXPECT_FALSE(ParseGraphText("graph 2 1 0\nx\n").ok());  // unknown record
   EXPECT_FALSE(ParseGraphText("").ok());              // no header
+  // Hostile headers are errors before anything is allocated.
+  EXPECT_FALSE(ParseGraphText("graph -1 1 0\n").ok());   // negative n
+  EXPECT_FALSE(ParseGraphText("graph 2 -1 0\n").ok());   // negative d
+  EXPECT_FALSE(ParseGraphText("graph 4294967296 0 0\n").ok());  // n > VertexId
+  EXPECT_FALSE(ParseGraphText("graph 3000000000 3000000000 0\n").ok());
+  EXPECT_FALSE(ParseGraphText("graph 1 9223372036854775807 0\n").ok());
+  // 2^24 + 1 cells, one past kMaxGraphTextCells.
+  EXPECT_FALSE(ParseGraphText("graph 16777217 0 0\n").ok());
+  EXPECT_FALSE(ParseGraphText("graph 4097 4096 0\n").ok());
+  EXPECT_TRUE(ParseGraphText("graph 0 0 0\n").ok());
 }
 
 TEST(IoTest, DirectedRoundTrip) {

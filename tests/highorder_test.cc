@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "base/rng.h"
+#include "core/compile_gnn.h"
 #include "gnn/fgnn.h"
 #include "gnn/gat.h"
 #include "gnn/subgraph.h"
@@ -68,11 +69,11 @@ TEST(IdGnnTest, ShapesAndValidation) {
       IdGnnModel::Random({1, 5}, Activation::kTanh, 0.5, &rng);
   ASSERT_TRUE(model.ok());
   Graph g = CycleGraph(4);
-  Matrix f = *model->VertexEmbeddings(g);
+  Matrix f = *VertexEmbeddings(*model, g);
   EXPECT_EQ(f.rows(), 4u);
   EXPECT_EQ(f.cols(), 5u);
   Graph wrong(3, 2);
-  EXPECT_FALSE(model->VertexEmbeddings(wrong).ok());
+  EXPECT_FALSE(VertexEmbeddings(*model, wrong).ok());
 }
 
 TEST(IdGnnTest, InvarianceUnderPermutation) {
@@ -83,8 +84,8 @@ TEST(IdGnnTest, InvarianceUnderPermutation) {
     Graph g = RandomGnp(7, 0.4, &rng);
     std::vector<size_t> perm = rng.Permutation(7);
     Graph h = g.Permuted(perm).value();
-    Matrix fg = *model.VertexEmbeddings(g);
-    Matrix fh = *model.VertexEmbeddings(h);
+    Matrix fg = *VertexEmbeddings(model, g);
+    Matrix fh = *VertexEmbeddings(model, h);
     for (size_t v = 0; v < 7; ++v)
       EXPECT_TRUE(fg.Row(v).AllClose(fh.Row(perm[v]), 1e-9));
   }

@@ -102,7 +102,7 @@ TEST(IntegrationTest, LogicToGnnToGelRoundTrip) {
       g.SetOneHotFeature(static_cast<VertexId>(u), rng.NextBounded(kLabels));
     }
     std::vector<bool> truth = *EvaluateGml(formula, g);
-    Matrix network = *compiled.model.VertexEmbeddings(g);
+    Matrix network = *VertexEmbeddings(compiled.model, g);
     Evaluator eval(g);
     Matrix expression = *eval.EvalVertex(expr);
     for (size_t v = 0; v < n; ++v) {
@@ -137,7 +137,7 @@ TEST_P(InvarianceSweepTest, AllEmbeddingsInvariant) {
   Gnn101Model model =
       *Gnn101Model::Random({1, 6, 6}, Activation::kSigmoid, 0.7, &rng);
   EXPECT_TRUE(
-      (*model.GraphEmbedding(g)).AllClose(*model.GraphEmbedding(h), 1e-9));
+      (*GraphEmbedding(model, g)).AllClose(*GraphEmbedding(model, h), 1e-9));
   // Compiled GEL expression (closed).
   ExprPtr closed = *CompileGnn101GraphToGel(model);
   Evaluator evg(g);
@@ -174,7 +174,7 @@ TEST(IntegrationTest, NormalFormOfDeepModel) {
   NormalFormProgram program = *NormalFormProgram::Normalize(expr);
   EXPECT_EQ(program.num_layers(), 3u);
   Graph g = PetersenGraph();
-  EXPECT_TRUE((*model.VertexEmbeddings(g)).AllClose(*program.Run(g), 1e-9));
+  EXPECT_TRUE((*VertexEmbeddings(model, g)).AllClose(*program.Run(g), 1e-9));
 }
 
 }  // namespace

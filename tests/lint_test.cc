@@ -320,17 +320,6 @@ TEST(RulesTest, DenseAdjacencyOnlyUnderGnn) {
   EXPECT_TRUE(RunOn("src/hom/hom_count.cc", src).empty());
 }
 
-TEST(RulesTest, InterpreterInHotPathOnlyUnderGnn) {
-  const std::string src = "Evaluator ev(g); Matrix m = *ev.EvalVertex(e);";
-  ASSERT_EQ(RunOn("src/gnn/mpnn.cc", src).size(), 1u);
-  EXPECT_EQ(RunOn("src/gnn/mpnn.cc", src)[0].rule,
-            "interpreter-in-hot-path");
-  // The interpreter is fine everywhere else: it is the semantics oracle
-  // in core/ and the differential reference in tests/.
-  EXPECT_TRUE(RunOn("src/core/plan_compile.cc", src).empty());
-  EXPECT_TRUE(RunOn("tests/plan_test.cc", src).empty());
-}
-
 TEST(RulesTest, CsrRebuildInStreamPathOnlyInUpdateLog) {
   const std::string src = "const CsrGraph& c = g.Csr(); c.adjacency();";
   ASSERT_EQ(RunOn("src/graph/update_log.cc", src).size(), 1u);
@@ -634,6 +623,17 @@ TEST(ProgramTest, LayeringViolationFlagged) {
   EXPECT_EQ(diags[0].line, 1);
   EXPECT_NE(diags[0].message.find("base/low.h -> tensor/high.h"),
             std::string::npos);
+  // Models under src/gnn hold weights; running them, through the
+  // interpreter or a plan, belongs to core/, one layer up.
+  files = {
+      {"src/gnn/model.cc", "#include \"core/eval.h\"\n"},
+      {"src/core/eval.h", "\n"},
+  };
+  diags = LintProgram(files);
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].rule, "include-layering");
+  EXPECT_NE(diags[0].message.find("gnn/model.cc -> core/eval.h"),
+            std::string::npos);
 }
 
 TEST(ProgramTest, IncludeCycleFlagged) {
@@ -869,10 +869,10 @@ TEST(ReportTest, JsonByRuleSummary) {
 
 TEST(ReportTest, AllRuleNamesListedOnce) {
   const auto& names = AllRuleNames();
-  EXPECT_EQ(names.size(), 14u);
+  EXPECT_EQ(names.size(), 13u);
   for (const char* expected :
        {"unchecked-status", "dense-adjacency-in-hot-path",
-        "interpreter-in-hot-path", "csr-rebuild-in-stream-path",
+        "csr-rebuild-in-stream-path",
         "segment-boundary-indexing", "raw-thread", "adhoc-timing",
         "nondeterminism", "banned-alloc", "intrinsics-outside-tensor",
         "include-hygiene", "parallel-region-race", "include-layering",

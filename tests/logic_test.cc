@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "base/rng.h"
+#include "core/compile_gnn.h"
 #include "graph/generators.h"
 #include "logic/gml.h"
 #include "logic/gml_to_gnn.h"
@@ -94,7 +95,7 @@ TEST(GmlToGnnTest, SingleLabelFormula) {
   Graph g = LabelledPath();
   Result<CompiledGmlGnn> compiled = CompileGmlToGnn(GmlFormula::Label(1), 2);
   ASSERT_TRUE(compiled.ok());
-  Matrix f = *compiled->model.VertexEmbeddings(g);
+  Matrix f = *VertexEmbeddings(compiled->model, g);
   std::vector<bool> truth = *EvaluateGml(GmlFormula::Label(1), g);
   for (size_t v = 0; v < 4; ++v)
     EXPECT_EQ(f.At(v, compiled->output_coordinate) == 1.0, truth[v]);
@@ -105,7 +106,7 @@ TEST(GmlToGnnTest, DiamondFormula) {
   GmlPtr formula = GmlFormula::AtLeast(2, GmlFormula::Label(0));
   Result<CompiledGmlGnn> compiled = CompileGmlToGnn(formula, 2);
   ASSERT_TRUE(compiled.ok());
-  Matrix f = *compiled->model.VertexEmbeddings(g);
+  Matrix f = *VertexEmbeddings(compiled->model, g);
   std::vector<bool> truth = *EvaluateGml(formula, g);
   for (size_t v = 0; v < 4; ++v)
     EXPECT_EQ(f.At(v, compiled->output_coordinate) == 1.0, truth[v]) << v;
@@ -117,7 +118,7 @@ TEST(GmlToGnnTest, SharedSubformulasCompileOnce) {
   Result<CompiledGmlGnn> compiled = CompileGmlToGnn(f, 2);
   ASSERT_TRUE(compiled.ok());
   Graph g = LabelledPath();
-  Matrix out = *compiled->model.VertexEmbeddings(g);
+  Matrix out = *VertexEmbeddings(compiled->model, g);
   for (size_t v = 0; v < 4; ++v)
     EXPECT_EQ(out.At(v, compiled->output_coordinate),
               g.features().At(v, 0));
@@ -153,7 +154,7 @@ TEST_P(GmlGnnAgreementTest, CompiledGnnMatchesModelChecker) {
         GmlFormula::Random(2 + rng.NextBounded(4), kLabels, 3, &rng);
     Result<CompiledGmlGnn> compiled = CompileGmlToGnn(formula, kLabels);
     ASSERT_TRUE(compiled.ok());
-    Matrix f = *compiled->model.VertexEmbeddings(labelled);
+    Matrix f = *VertexEmbeddings(compiled->model, labelled);
     std::vector<bool> truth = *EvaluateGml(formula, labelled);
     for (size_t v = 0; v < n; ++v) {
       EXPECT_EQ(f.At(v, compiled->output_coordinate) == 1.0, truth[v])

@@ -120,7 +120,7 @@ TEST_P(NormalFormGnnTest, NormalizedCompiledGnnMatchesNetwork) {
   EXPECT_EQ(p->num_layers(), model.num_layers());
 
   Graph g = RandomGnp(7 + rng.NextBounded(4), 0.4, &rng);
-  Matrix network = *model.VertexEmbeddings(g);
+  Matrix network = *VertexEmbeddings(model, g);
   Matrix layered = *p->Run(g);
   Evaluator eval(g);
   Matrix direct = *eval.EvalVertex(expr);

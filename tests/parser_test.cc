@@ -119,7 +119,15 @@ INSTANTIATE_TEST_SUITE_P(
         ParserErrorCase{"[+inf]", "infinite constant"},
         ParserErrorCase{"[-nan]", "NaN constant"},
         ParserErrorCase{"scale[1e999](lab0(x0))",
-                        "parameter overflows to inf"}));
+                        "parameter overflows to inf"},
+        ParserErrorCase{"project[-1,2](concat(lab0(x0), lab0(x0)))",
+                        "negative project begin"},
+        ParserErrorCase{"project[1,-1](concat(lab0(x0), lab0(x0)))",
+                        "negative project length"},
+        ParserErrorCase{"project[0.5,1](concat(lab0(x0), lab0(x0)))",
+                        "fractional project begin"},
+        ParserErrorCase{"project[1e300,1](concat(lab0(x0), lab0(x0)))",
+                        "project begin beyond size_t"}));
 
 // Nesting deep enough to overflow the stack returns a Status instead of
 // crashing.

@@ -4,9 +4,9 @@
 //     aggregation reorder;
 //   - differential fuzz: compiled plans are bit-identical to
 //     Evaluator::Eval at forced thread counts 1 and 4;
-//   - the bit-identity triangle: plan == interpreter == hand-written
-//     GNN forward for GNN-101, GIN, MPNN and (via direct model lowering)
-//     GCN;
+//   - one inference path: the model entry points of core/compile_gnn.h
+//     equal the interpreter bit for bit for GNN-101, GIN, MPNN and
+//     GraphSAGE, and GCN's direct lowering equals its SpMM reference;
 //   - the structural plan cache.
 #include <gtest/gtest.h>
 
@@ -23,6 +23,7 @@
 #include "gnn/gnn101.h"
 #include "gnn/mpnn.h"
 #include "graph/generators.h"
+#include "tensor/sparse.h"
 
 namespace gelc {
 namespace {
@@ -330,68 +331,99 @@ TEST(PlanFusionTest, LabelLoadsCoalesceIntoOneCopy) {
       << plan->ToString();
 }
 
-// -- The bit-identity triangle ----------------------------------------------
+// -- One inference path, one oracle ------------------------------------------
+//
+// The inference entry points of core/compile_gnn.h run compiled plans;
+// every model family's vertex and graph embeddings equal the interpreter
+// on the lowered expression, bit for bit.
 
-TEST(PlanBitIdentityTest, Gnn101PlanInterpreterAndHandForwardAgree) {
+void ExpectBitEqualClosed(const Matrix& row, const std::vector<double>& want,
+                          const char* what) {
+  ASSERT_EQ(row.rows(), 1u) << what;
+  ASSERT_EQ(row.cols(), want.size()) << what;
+  for (size_t j = 0; j < want.size(); ++j) {
+    EXPECT_EQ(row.At(0, j), want[j]) << what << " differs at " << j;
+  }
+}
+
+TEST(PlanBitIdentityTest, Gnn101EntryPointsMatchInterpreter) {
   Rng rng(21);
   Gnn101Model model =
       *Gnn101Model::Random({kFeatureDim, 5, 4}, Activation::kReLU, 0.5, &rng);
   Graph g = RandomFeatureGraph(&rng);
-  Matrix hand = *model.VertexEmbeddings(g);
-
-  ExprPtr gel = *CompileGnn101ToGel(model);
   Evaluator ev(g);
-  Matrix interp = *ev.EvalVertex(gel);
-  ExpectBitEqual(hand, interp, "hand vs interpreter");
+  ExpectBitEqual(*VertexEmbeddings(model, g),
+                 *ev.EvalVertex(*CompileGnn101ToGel(model)), "vertex");
+  ExpectBitEqualClosed(*GraphEmbedding(model, g),
+                       *ev.EvalClosed(*CompileGnn101GraphToGel(model)),
+                       "readout");
+}
 
-  Matrix plan_out = *ExecutePlan(**CompileToPlan(gel), g);
-  ExpectBitEqual(hand, plan_out, "hand vs plan");
-
-  // Graph embedding: the closed readout expression, all three paths.
-  Matrix ghand = *model.GraphEmbedding(g);
-  ExprPtr closed = *CompileGnn101GraphToGel(model);
-  std::vector<double> ivec = *ev.EvalClosed(closed);
-  Matrix gplan = *ExecutePlan(**CompileToPlan(closed), g);
-  ASSERT_EQ(ivec.size(), ghand.cols());
-  ASSERT_EQ(gplan.cols(), ghand.cols());
-  for (size_t j = 0; j < ivec.size(); ++j) {
-    EXPECT_EQ(ghand.At(0, j), ivec[j]) << "readout " << j;
-    EXPECT_EQ(ghand.At(0, j), gplan.At(0, j)) << "readout " << j;
+TEST(PlanBitIdentityTest, GinEntryPointsMatchInterpreter) {
+  Rng rng(22);
+  GinModel model = *GinModel::Random({kFeatureDim, 4, 4}, 0.5, &rng);
+  for (int trial = 0; trial < 3; ++trial) {
+    Graph g = RandomFeatureGraph(&rng);
+    Evaluator ev(g);
+    ExpectBitEqual(*VertexEmbeddings(model, g),
+                   *ev.EvalVertex(*CompileGinToGel(model)), "vertex");
+    ExpectBitEqualClosed(*GraphEmbedding(model, g),
+                         *ev.EvalClosed(*CompileGinGraphToGel(model)),
+                         "sum-pool readout");
   }
 }
 
-TEST(PlanBitIdentityTest, GinPlanInterpreterAndHandForwardAgree) {
-  Rng rng(22);
-  GinModel model = *GinModel::Random({kFeatureDim, 4, 4}, 0.5, &rng);
-  Graph g = RandomFeatureGraph(&rng);
-  Matrix hand = *model.VertexEmbeddings(g);
-  ExprPtr gel = *CompileGinToGel(model);
-  Evaluator ev(g);
-  ExpectBitEqual(hand, *ev.EvalVertex(gel), "hand vs interpreter");
-  ExpectBitEqual(hand, *ExecutePlan(**CompileToPlan(gel), g),
-                 "hand vs plan");
+TEST(PlanBitIdentityTest, MpnnEntryPointsMatchInterpreter) {
+  // Mean readout included: θ-mean divides the pooled sum by n.
+  for (Aggregation agg :
+       {Aggregation::kSum, Aggregation::kMean, Aggregation::kMax}) {
+    Rng rng(23 + static_cast<uint64_t>(agg));
+    MpnnModel model =
+        *MpnnModel::Random({kFeatureDim, 4, 4}, agg, 0.5, &rng);
+    for (int trial = 0; trial < 3; ++trial) {
+      Graph g = RandomFeatureGraph(&rng);
+      Evaluator ev(g);
+      ExpectBitEqual(*VertexEmbeddings(model, g),
+                     *ev.EvalVertex(*CompileMpnnToGel(model)),
+                     AggregationName(agg));
+      ExpectBitEqualClosed(*GraphEmbedding(model, g),
+                           *ev.EvalClosed(*CompileMpnnGraphToGel(model)),
+                           AggregationName(agg));
+    }
+  }
 }
 
-TEST(PlanBitIdentityTest, MpnnPlanInterpreterAndHandForwardAgree) {
-  Rng rng(23);
-  MpnnModel model =
-      *MpnnModel::Random({kFeatureDim, 4, 4}, Aggregation::kMean, 0.5, &rng);
-  Graph g = RandomFeatureGraph(&rng);
-  Matrix hand = *model.VertexEmbeddings(g);
-  ExprPtr gel = *CompileMpnnToGel(model);
-  Evaluator ev(g);
-  ExpectBitEqual(hand, *ev.EvalVertex(gel), "hand vs interpreter");
-  ExpectBitEqual(hand, *ExecutePlan(**CompileToPlan(gel), g),
-                 "hand vs plan");
+TEST(PlanBitIdentityTest, GraphSageEntryPointMatchesInterpreter) {
+  // The stacked W multiplies [self | mean] as two slices summed left to
+  // right, exactly as omega's linear closure does.
+  Rng rng(25);
+  GraphSageModel model =
+      *GraphSageModel::Random({kFeatureDim, 4, 3}, 0.5, &rng);
+  for (int trial = 0; trial < 3; ++trial) {
+    Graph g = RandomFeatureGraph(&rng);
+    Evaluator ev(g);
+    ExpectBitEqual(*VertexEmbeddings(model, g),
+                   *ev.EvalVertex(*CompileGraphSageToGel(model)), "sage");
+  }
 }
 
-TEST(PlanBitIdentityTest, GcnDirectLoweringMatchesHandForward) {
+TEST(PlanBitIdentityTest, GcnDirectLoweringMatchesSpMMReference) {
+  // GCN has no GEL oracle (its propagation operator is weighted), so the
+  // plan is pinned to the unfused reference act(SpMM(norm, H) · W).
   Rng rng(24);
-  GcnModel model = *GcnModel::Random({kFeatureDim, 4, 3}, 0.5, &rng);
-  Graph g = RandomFeatureGraph(&rng);
-  Matrix hand = *model.VertexEmbeddings(g);
+  GcnModel model(
+      {{Matrix::RandomGaussian(kFeatureDim, 4, 0.5, &rng), Activation::kReLU},
+       {Matrix::RandomGaussian(4, 3, 0.5, &rng), Activation::kTanh}});
+  for (int trial = 0; trial < 3; ++trial) {
+    Graph g = RandomFeatureGraph(&rng);
+    Matrix want = g.features();
+    for (const GcnModel::Layer& l : model.layers()) {
+      want = ApplyActivation(l.act, SpMM(g.Csr().normalized(), want)
+                                        .MatMul(l.w));
+    }
+    ExpectBitEqual(*VertexEmbeddings(model, g), want, "gcn");
+  }
   PlanPtr plan = *CompileGcnToPlan(model);
-  ExpectBitEqual(hand, *ExecutePlan(*plan, g), "hand vs plan");
   EXPECT_NE(plan->ToString().find("agg(sum,norm,neighbor)"),
             std::string::npos)
       << plan->ToString();

@@ -1,8 +1,9 @@
 // Tests for the sparse execution path: CsrMatrix/SpMM (tensor/sparse.h),
 // the cached CsrGraph view (graph/csr.h, Graph::Csr()), the SparseMatMul
 // tape op, and the CSR-backed GNN hot paths. The contract under test:
-// SpMM is bit-identical to the dense product for any thread count, and no
-// GNN forward/backward ever materializes a dense n x n adjacency.
+// SpMM and the plans' θ neighbor aggregation are bit-identical at any
+// thread count (SpMM to the dense product), and no GNN forward/backward
+// ever materializes a dense n x n adjacency.
 #include "tensor/sparse.h"
 
 #include <cmath>
@@ -12,14 +13,14 @@
 #include "autodiff/tape.h"
 #include "base/parallel.h"
 #include "base/rng.h"
-#include "gnn/gnn101.h"
-#include "gnn/mpnn.h"
+#include "core/compile_gnn.h"
 #include "gnn/trainable.h"
 #include "graph/csr.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "obs/config.h"
 #include "obs/snapshot.h"
+#include "tensor/fused.h"
 
 namespace gelc {
 namespace {
@@ -128,6 +129,24 @@ TEST(SpMMTest, BitIdenticalToDenseOnRandomGraphsAnyThreadCount) {
     }
     EXPECT_TRUE(serial == expected) << "n=" << n;
     EXPECT_TRUE(parallel == expected) << "n=" << n;
+    // The plans' θ neighbor aggregation shards the same rows: sum is the
+    // SpMM bit for bit, and every θ is thread-invariant.
+    for (FusedAgg agg : {FusedAgg::kSum, FusedAgg::kMean, FusedAgg::kMax}) {
+      Matrix agg_serial, agg_parallel;
+      {
+        ScopedThreads threads(1);
+        NeighborAggregateInto(a, f, agg, false, false, &agg_serial);
+      }
+      {
+        ScopedThreads threads(4);
+        NeighborAggregateInto(a, f, agg, false, false, &agg_parallel);
+      }
+      EXPECT_TRUE(agg_serial == agg_parallel)
+          << "n=" << n << " agg=" << static_cast<int>(agg);
+      if (agg == FusedAgg::kSum) {
+        EXPECT_TRUE(agg_serial == expected) << "n=" << n;
+      }
+    }
   }
 }
 
@@ -164,27 +183,6 @@ TEST(SpMMTest, IntoReusesStorage) {
   SpMMInto(a, f2, &out);
   EXPECT_EQ(out.data().data(), storage);
   EXPECT_TRUE(out == SpMM(a, f2));
-}
-
-TEST(AggregateNeighborsTest, ThreadInvariantAndMatchesSpMM) {
-  Rng rng(19);
-  Graph g = RandomGnp(150, 0.12, &rng);
-  Matrix f = RandomMatrix(150, 24, 3);
-  for (Aggregation agg :
-       {Aggregation::kSum, Aggregation::kMean, Aggregation::kMax}) {
-    Matrix serial, parallel;
-    {
-      ScopedThreads threads(1);
-      serial = AggregateNeighbors(g, f, agg);
-    }
-    {
-      ScopedThreads threads(4);
-      parallel = AggregateNeighbors(g, f, agg);
-    }
-    EXPECT_TRUE(serial == parallel) << AggregationName(agg);
-  }
-  EXPECT_TRUE(AggregateNeighbors(g, f, Aggregation::kSum) ==
-              SpMM(g.Csr().adjacency(), f));
 }
 
 // Central finite differences against the analytic SparseMatMul backward.
@@ -277,16 +275,20 @@ TEST(DenseFreeHotPathTest, ForwardAndTrainingNeverDensifyAdjacency) {
   EXPECT_EQ(g.dense_adjacency_builds(), before);  // accessor delegates
 
   ASSERT_TRUE(
-      Gnn101Model::Random({1, 8, 8}, Activation::kReLU, 0.5, &rng)
-          ->VertexEmbeddings(g)
+      VertexEmbeddings(
+          *Gnn101Model::Random({1, 8, 8}, Activation::kReLU, 0.5, &rng), g)
           .ok());
-  ASSERT_TRUE(MpnnModel::Random({1, 8, 8}, Aggregation::kMean, 0.5, &rng)
-                  ->VertexEmbeddings(g)
-                  .ok());
-  ASSERT_TRUE(GinModel::Random({1, 8, 8}, 0.5, &rng)->VertexEmbeddings(g).ok());
-  ASSERT_TRUE(GcnModel::Random({1, 8, 8}, 0.5, &rng)->VertexEmbeddings(g).ok());
   ASSERT_TRUE(
-      GraphSageModel::Random({1, 8, 8}, 0.5, &rng)->VertexEmbeddings(g).ok());
+      VertexEmbeddings(
+          *MpnnModel::Random({1, 8, 8}, Aggregation::kMean, 0.5, &rng), g)
+          .ok());
+  ASSERT_TRUE(
+      VertexEmbeddings(*GinModel::Random({1, 8, 8}, 0.5, &rng), g).ok());
+  ASSERT_TRUE(
+      VertexEmbeddings(*GcnModel::Random({1, 8, 8}, 0.5, &rng), g).ok());
+  ASSERT_TRUE(
+      VertexEmbeddings(*GraphSageModel::Random({1, 8, 8}, 0.5, &rng), g)
+          .ok());
 
   TrainableGnn::Config cfg;
   cfg.widths = {1, 8};

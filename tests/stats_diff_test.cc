@@ -59,6 +59,9 @@ TEST(JsonParserTest, RejectsMalformedInput) {
   EXPECT_FALSE(obs::ParseJson("{\"a\" 1}", &v).ok());
   EXPECT_FALSE(obs::ParseJson("\"unterminated", &v).ok());
   EXPECT_FALSE(obs::ParseJson("\"bad \\u00zz escape\"", &v).ok());
+  // Numbers that overflow to infinity are rejected, as in GEL's lexer.
+  EXPECT_FALSE(obs::ParseJson("{\"a\":1e999}", &v).ok());
+  EXPECT_FALSE(obs::ParseJson("[-1e999]", &v).ok());
 }
 
 TEST(ParseSnapshotTest, ReadsAllFourSections) {

@@ -414,7 +414,10 @@ TEST(UpdateLogTest, ParseRejectsMalformedLogs) {
   EXPECT_FALSE(ParseUpdateLog("uplog 4 0\nx 0 1\n").ok());   // bad op kind
   EXPECT_FALSE(ParseUpdateLog("uplog 4 0\ni 0 9\n").ok());   // out of range
   EXPECT_FALSE(ParseUpdateLog("uplog 4 0\ni 2 2\n").ok());   // self-loop
+  EXPECT_FALSE(ParseUpdateLog("uplog -1 0\n").ok());         // negative n
+  EXPECT_FALSE(ParseUpdateLog("uplog 4294967296 0\n").ok()); // n > VertexId
   EXPECT_TRUE(ParseUpdateLog("uplog 4 0\n").ok());           // empty log ok
+  EXPECT_TRUE(ParseUpdateLog("uplog 4294967295 0\n").ok());  // largest n
 }
 
 TEST(UpdateLogTest, GeneratedOpsAlwaysApplyCleanly) {
