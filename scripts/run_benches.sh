@@ -9,8 +9,9 @@
 # the regenerated BENCH file as a top-level "gelc_metrics" key alongside
 # google-benchmark's own "context"/"benchmarks". A "gelc_context" key
 # records the git SHA (with a -dirty suffix when the tree has local
-# edits) and the resolved SIMD tier, so diffs across the BENCH trajectory
-# are attributable to a commit and an instruction set.
+# edits), the resolved SIMD tier and the host (name, CPU model, CPU
+# count), so diffs across the BENCH trajectory are attributable to a
+# commit, an instruction set and a machine.
 #
 # After regenerating a BENCH file, the previously checked-in version (git
 # HEAD) is compared with `gelc_stats --diff` — informational by default,
@@ -51,6 +52,9 @@ if ! git diff --quiet HEAD 2>/dev/null; then
   git_sha="${git_sha}-dirty"
 fi
 simd_tier="$(./build/tools/gelc_stats --simd-tier)"
+cpu_model="$(grep -m1 'model name' /proc/cpuinfo 2>/dev/null |
+  sed 's/^[^:]*: *//')"
+host="$(hostname 2>/dev/null || echo unknown) (${cpu_model:-unknown CPU}, $(nproc) CPUs)"
 
 for bin in build/bench/bench_p*; do
   name="${bin##*/bench_}"                  # e.g. p8_spmm
@@ -73,8 +77,8 @@ for bin in build/bench/bench_p*; do
   git show "HEAD:BENCH_${short}.json" > "$old" 2>/dev/null || : > "$old"
   {
     echo "{"
-    printf '  "gelc_context": {"git_sha": "%s", "simd_tier": "%s"},\n' \
-      "$git_sha" "$simd_tier"
+    printf '  "gelc_context": {"git_sha": "%s", "simd_tier": "%s", "host": "%s"},\n' \
+      "$git_sha" "$simd_tier" "$host"
     printf '  "gelc_metrics": %s,\n' "$(cat "$snap")"
     tail -n +2 "$raw"
   } > "BENCH_${short}.json"

@@ -51,8 +51,6 @@ const char* PlanOpKindName(PlanOpKind kind) {
       return "activation";
     case PlanOpKind::kPointwise:
       return "pointwise";
-    case PlanOpKind::kMlp:
-      return "mlp";
     case PlanOpKind::kNeighborAgg:
       return "neighbor_agg";
     case PlanOpKind::kPool:
@@ -139,11 +137,6 @@ std::string Plan::ToString() const {
         break;
       case PlanOpKind::kPointwise: {
         os << " " << op.fn->name;
-        for (uint32_t s : op.inputs) os << " %" << s;
-        break;
-      }
-      case PlanOpKind::kMlp: {
-        os << "[" << op.mlp->in_dim() << "->" << op.mlp->out_dim() << "]";
         for (uint32_t s : op.inputs) os << " %" << s;
         break;
       }

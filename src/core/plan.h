@@ -28,7 +28,6 @@
 
 #include "core/omega.h"
 #include "core/theta.h"
-#include "gnn/mlp.h"
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
 
@@ -60,7 +59,6 @@ enum class PlanOpKind : uint8_t {
   kMul,          // x * y, entrywise (Hadamard)
   kActivation,   // act(x), entrywise
   kPointwise,    // opaque Ω closure applied row by row (escape hatch)
-  kMlp,          // MLP over the concatenated input rows
   kNeighborAgg,  // θ over each vertex's csr row -> vertex[agg out dim]
   kPool,         // θ over all n rows (global aggregation) -> global
   kFusedLayer,   // act(Σ_i arg_i(v) W_i + b), aggregations inlined
@@ -108,7 +106,6 @@ struct PlanOp {
   ThetaAgg::Kind agg = ThetaAgg::Kind::kSum;  // structured θ kind
   PlanCsr csr = PlanCsr::kOut;           // kNeighborAgg, kGinCombine
   PlanGather gather = PlanGather::kNeighbor;  // kNeighborAgg, kPool
-  std::shared_ptr<const Mlp> mlp;        // kMlp
   std::vector<PlanLayerArg> args;        // kFusedLayer
   std::shared_ptr<const Matrix> weight;  // kPoolReadout
   std::shared_ptr<const Matrix> bias;    // kFusedLayer, kPoolReadout

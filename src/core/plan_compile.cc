@@ -31,32 +31,6 @@ bool SameMatrix(const Matrix* a, const Matrix* b) {
                      a->data().size() * sizeof(double)) == 0;
 }
 
-uint64_t HashMlp(const Mlp* m) {
-  if (m == nullptr) return 0;
-  uint64_t h = Fnv1a64("mlp");
-  for (const MlpLayer& l : m->layers()) {
-    h = HashCombine(h, HashMatrix(&l.w));
-    h = HashCombine(h, HashMatrix(&l.b));
-    h = HashCombine(h, static_cast<uint64_t>(l.act));
-  }
-  return h;
-}
-
-bool SameMlp(const Mlp* a, const Mlp* b) {
-  if (a == b) return true;
-  if (a == nullptr || b == nullptr) return false;
-  if (a->layers().size() != b->layers().size()) return false;
-  for (size_t i = 0; i < a->layers().size(); ++i) {
-    const MlpLayer& la = a->layers()[i];
-    const MlpLayer& lb = b->layers()[i];
-    if (la.act != lb.act || !SameMatrix(&la.w, &lb.w) ||
-        !SameMatrix(&la.b, &lb.b)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 uint64_t HashOp(const PlanOp& op) {
   uint64_t h = Fnv1a64("planop");
   h = HashCombine(h, static_cast<uint64_t>(op.kind));
@@ -81,7 +55,6 @@ uint64_t HashOp(const PlanOp& op) {
   h = HashCombine(h, static_cast<uint64_t>(op.agg));
   h = HashCombine(h, static_cast<uint64_t>(op.csr));
   h = HashCombine(h, static_cast<uint64_t>(op.gather));
-  h = HashCombine(h, HashMlp(op.mlp.get()));
   for (const PlanLayerArg& a : op.args) {
     h = HashCombine(h, a.input);
     h = HashCombine(h, HashMatrix(a.w.get()));
@@ -117,7 +90,6 @@ bool SameOp(const PlanOp& a, const PlanOp& b) {
   if (a.theta != nullptr && !ThetaStructurallyEqual(*a.theta, *b.theta)) {
     return false;
   }
-  if (!SameMlp(a.mlp.get(), b.mlp.get())) return false;
   if (a.args.size() != b.args.size()) return false;
   for (size_t i = 0; i < a.args.size(); ++i) {
     const PlanLayerArg& x = a.args[i];
@@ -247,9 +219,7 @@ class Lowering {
         op.scale = fn.scale;
         break;
       case OmegaFn::Kind::kMlp:
-        op.kind = PlanOpKind::kMlp;
-        op.mlp = fn.mlp;
-        break;
+        return LowerMlp(fn, std::move(op.inputs), op.type.per_vertex);
       case OmegaFn::Kind::kProject:
         op.kind = PlanOpKind::kProject;
         op.project_begin = fn.project_begin;
@@ -261,6 +231,37 @@ class Lowering {
         break;
     }
     return Emit(std::move(op));
+  }
+
+  // An MLP is one fused layer per MLP layer: x -> act(x W + b), the
+  // layer's own W, b (aliasing the MLP's storage) and activation. A
+  // single-argument fold from zero over the whole input row is exactly
+  // Mlp::Forward's MatMul-then-bias chain per cell. Several arguments
+  // are concatenated first: one weight slice per argument would add the
+  // per-argument partial sums instead, a different association.
+  Result<uint32_t> LowerMlp(const OmegaFn& fn, std::vector<uint32_t> inputs,
+                            bool per_vertex) {
+    uint32_t x = inputs[0];
+    if (inputs.size() > 1) {
+      PlanOp concat;
+      concat.kind = PlanOpKind::kConcat;
+      concat.type = {per_vertex, static_cast<uint32_t>(fn.total_in_dim())};
+      concat.inputs = std::move(inputs);
+      GELC_ASSIGN_OR_RETURN(x, Emit(std::move(concat)));
+    }
+    for (const MlpLayer& l : fn.mlp->layers()) {
+      PlanOp layer;
+      layer.kind = PlanOpKind::kFusedLayer;
+      layer.type = {per_vertex, static_cast<uint32_t>(l.w.cols())};
+      PlanLayerArg arg;
+      arg.input = x;
+      arg.w = std::shared_ptr<const Matrix>(fn.mlp, &l.w);
+      layer.args = {std::move(arg)};
+      layer.bias = std::shared_ptr<const Matrix>(fn.mlp, &l.b);
+      layer.act = l.act;
+      GELC_ASSIGN_OR_RETURN(x, Emit(std::move(layer)));
+    }
+    return x;
   }
 
   Result<uint32_t> LowerAggregate(const ExprPtr& e, Var var) {

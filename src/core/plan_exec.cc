@@ -1,6 +1,8 @@
 #include "core/plan_exec.h"
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "base/logging.h"
@@ -69,6 +71,71 @@ void OpaqueNeighborAgg(const CsrMatrix& csr, const Matrix& values,
   }
 }
 
+// Buffers the last ExecutePlan on this thread released: its working set
+// minus the result, which left with the caller. The next execution takes
+// its slot outputs from here by shape. Thread-owned, so executions on
+// different pool workers never share a buffer (and core takes no lock).
+thread_local std::vector<Matrix> t_free_buffers;
+
+// One execution's view of the thread's free list. Buffers are handed out
+// by exact shape; an op that writes every cell of its output (every
+// structured kernel) takes one as is, an opaque closure gets it zeroed,
+// as the interpreter's tables are. What is kept afterwards is exactly
+// what this execution released, so the list never outgrows one
+// execution's working set, however many plans run.
+class SlotBuffers {
+ public:
+  SlotBuffers(const Plan& plan, size_t n)
+      : carried_(std::move(t_free_buffers)) {
+    t_free_buffers.clear();
+    // Drop at once what no op of this plan can take, so a switch between
+    // plans does not hold two working sets.
+    std::vector<std::pair<size_t, size_t>> shapes;
+    shapes.reserve(plan.ops.size());
+    for (const PlanOp& op : plan.ops) {
+      shapes.emplace_back(op.type.per_vertex ? n : 1, op.type.dim);
+      if (op.kind == PlanOpKind::kPoolReadout) {
+        shapes.emplace_back(1, op.weight->rows());  // the pooled row
+      }
+    }
+    std::erase_if(carried_, [&shapes](const Matrix& m) {
+      auto it = std::find(shapes.begin(), shapes.end(),
+                          std::make_pair(m.rows(), m.cols()));
+      if (it == shapes.end()) return true;
+      shapes.erase(it);
+      return false;
+    });
+  }
+  ~SlotBuffers() { t_free_buffers = std::move(released_); }
+  SlotBuffers(const SlotBuffers&) = delete;
+  SlotBuffers& operator=(const SlotBuffers&) = delete;
+
+  Matrix Take(size_t rows, size_t cols, bool zeroed) {
+    static obs::Counter* allocs = obs::GetCounter("plan.exec_buffer_allocs");
+    static obs::Counter* reuses = obs::GetCounter("plan.exec_buffer_reuses");
+    for (std::vector<Matrix>* list : {&released_, &carried_}) {
+      for (Matrix& m : *list) {
+        if (m.rows() != rows || m.cols() != cols) continue;
+        Matrix out = std::move(m);
+        if (&m != &list->back()) m = std::move(list->back());
+        list->pop_back();
+        reuses->Increment();
+        if (zeroed) std::fill(out.mutable_data().begin(),
+                              out.mutable_data().end(), 0.0);
+        return out;
+      }
+    }
+    allocs->Increment();
+    return Matrix(rows, cols);
+  }
+
+  void Release(Matrix m) { released_.push_back(std::move(m)); }
+
+ private:
+  std::vector<Matrix> carried_;   // from the previous execution
+  std::vector<Matrix> released_;  // by this execution
+};
+
 }  // namespace
 
 Result<Matrix> ExecutePlan(const Plan& plan, const Graph& g) {
@@ -81,7 +148,23 @@ Result<Matrix> ExecutePlan(const Plan& plan, const Graph& g) {
   execs->Increment();
   GELC_OBS_SCOPE("plan_exec", {{"ops", plan.ops.size()}, {"n", n}});
 
+  // The SSA last use of every slot; a slot nothing reads dies with its op.
+  std::vector<uint32_t> last_use(plan.ops.size());
+  for (size_t i = 0; i < plan.ops.size(); ++i) {
+    last_use[i] = static_cast<uint32_t>(i);
+    ForEachInput(plan.ops[i], [&last_use, i](uint32_t s) {
+      last_use[s] = static_cast<uint32_t>(i);
+    });
+  }
+  SlotBuffers buffers(plan, n);
   std::vector<Matrix> slots(plan.ops.size());
+  std::vector<bool> released(plan.ops.size(), false);
+  auto release_if_dead = [&](uint32_t s, size_t i) {
+    if (last_use[s] != i || s == plan.result || released[s]) return;
+    released[s] = true;
+    buffers.Release(std::move(slots[s]));
+  };
+
   for (size_t i = 0; i < plan.ops.size(); ++i) {
     const PlanOp& op = plan.ops[i];
     const size_t rows = op.type.per_vertex ? n : 1;
@@ -94,7 +177,7 @@ Result<Matrix> ExecutePlan(const Plan& plan, const Graph& g) {
                 "label index exceeds graph feature dimension");
           }
         }
-        Matrix out(n, op.label_cols.size());
+        Matrix out = buffers.Take(n, op.label_cols.size(), false);
         for (size_t v = 0; v < n; ++v) {
           for (size_t j = 0; j < op.label_cols.size(); ++j) {
             out.At(v, j) = g.features().At(v, op.label_cols[j]);
@@ -104,14 +187,14 @@ Result<Matrix> ExecutePlan(const Plan& plan, const Graph& g) {
         break;
       }
       case PlanOpKind::kConstant: {
-        Matrix out(1, op.constant.size());
+        Matrix out = buffers.Take(1, op.constant.size(), false);
         std::copy(op.constant.begin(), op.constant.end(),
                   out.mutable_data().begin());
         slots[i] = std::move(out);
         break;
       }
       case PlanOpKind::kConcat: {
-        Matrix out(rows, dim);
+        Matrix out = buffers.Take(rows, dim, false);
         for (size_t r = 0; r < rows; ++r) {
           double* orow = out.mutable_data().data() + r * dim;
           size_t off = 0;
@@ -128,7 +211,7 @@ Result<Matrix> ExecutePlan(const Plan& plan, const Graph& g) {
       }
       case PlanOpKind::kProject: {
         const Matrix& in = slots[op.inputs[0]];
-        Matrix out(rows, dim);
+        Matrix out = buffers.Take(rows, dim, false);
         for (size_t r = 0; r < rows; ++r) {
           std::memcpy(out.mutable_data().data() + r * dim,
                       RowOf(in, plan.ops[op.inputs[0]].type.per_vertex, r) +
@@ -140,7 +223,7 @@ Result<Matrix> ExecutePlan(const Plan& plan, const Graph& g) {
       }
       case PlanOpKind::kScale: {
         const Matrix& in = slots[op.inputs[0]];
-        Matrix out(rows, dim);
+        Matrix out = buffers.Take(rows, dim, false);
         simd::ScaleRowCopy(out.mutable_data().data(), in.data().data(),
                            op.scale, out.data().size());
         slots[i] = std::move(out);
@@ -152,7 +235,7 @@ Result<Matrix> ExecutePlan(const Plan& plan, const Graph& g) {
         const Matrix& b = slots[op.inputs[1]];
         const bool apv = plan.ops[op.inputs[0]].type.per_vertex;
         const bool bpv = plan.ops[op.inputs[1]].type.per_vertex;
-        Matrix out(rows, dim);
+        Matrix out = buffers.Take(rows, dim, false);
         for (size_t r = 0; r < rows; ++r) {
           const double* arow = RowOf(a, apv, r);
           const double* brow = RowOf(b, bpv, r);
@@ -168,7 +251,7 @@ Result<Matrix> ExecutePlan(const Plan& plan, const Graph& g) {
       }
       case PlanOpKind::kActivation: {
         const Matrix& in = slots[op.inputs[0]];
-        Matrix out(rows, dim);
+        Matrix out = buffers.Take(rows, dim, false);
         for (size_t k = 0; k < out.data().size(); ++k) {
           out.mutable_data()[k] = ApplyActivation(op.act, in.data()[k]);
         }
@@ -176,7 +259,7 @@ Result<Matrix> ExecutePlan(const Plan& plan, const Graph& g) {
         break;
       }
       case PlanOpKind::kPointwise: {
-        Matrix out(rows, dim);
+        Matrix out = buffers.Take(rows, dim, true);
         std::vector<const double*> args(op.inputs.size());
         for (size_t r = 0; r < rows; ++r) {
           for (size_t k = 0; k < op.inputs.size(); ++k) {
@@ -188,29 +271,12 @@ Result<Matrix> ExecutePlan(const Plan& plan, const Graph& g) {
         slots[i] = std::move(out);
         break;
       }
-      case PlanOpKind::kMlp: {
-        size_t in_dim = 0;
-        for (uint32_t s : op.inputs) in_dim += slots[s].cols();
-        Matrix x(rows, in_dim);
-        for (size_t r = 0; r < rows; ++r) {
-          double* xrow = x.mutable_data().data() + r * in_dim;
-          size_t off = 0;
-          for (uint32_t s : op.inputs) {
-            const Matrix& in = slots[s];
-            std::memcpy(xrow + off,
-                        RowOf(in, plan.ops[s].type.per_vertex, r),
-                        in.cols() * sizeof(double));
-            off += in.cols();
-          }
-        }
-        slots[i] = op.mlp->Forward(x);
-        break;
-      }
       case PlanOpKind::kNeighborAgg: {
         const Matrix& values = slots[op.inputs[0]];
         const CsrMatrix& csr = CsrOf(g, op.csr);
-        Matrix out(n, dim);
-        if (op.agg == ThetaAgg::Kind::kOpaque) {
+        const bool opaque = op.agg == ThetaAgg::Kind::kOpaque;
+        Matrix out = buffers.Take(n, dim, opaque);
+        if (opaque) {
           OpaqueNeighborAgg(csr, values, *op.theta, op.gather, &out);
         } else {
           NeighborAggregateInto(csr, values, FusedAggOf(op.agg),
@@ -223,8 +289,9 @@ Result<Matrix> ExecutePlan(const Plan& plan, const Graph& g) {
       case PlanOpKind::kPool: {
         const Matrix& values = slots[op.inputs[0]];
         const bool broadcast = op.gather == PlanGather::kBroadcast;
-        if (op.agg == ThetaAgg::Kind::kOpaque) {
-          Matrix out(1, dim);
+        const bool opaque = op.agg == ThetaAgg::Kind::kOpaque;
+        Matrix out = buffers.Take(1, dim, opaque);
+        if (opaque) {
           // The interpreter returns the zero table without touching θ
           // when the graph is empty; match that exactly.
           if (n > 0) {
@@ -237,10 +304,10 @@ Result<Matrix> ExecutePlan(const Plan& plan, const Graph& g) {
             }
             op.theta->finalize(acc, n);
           }
-          slots[i] = std::move(out);
         } else {
-          slots[i] = PoolRows(values, FusedAggOf(op.agg), n, broadcast);
+          PoolRowsInto(values, FusedAggOf(op.agg), n, broadcast, &out);
         }
+        slots[i] = std::move(out);
         break;
       }
       case PlanOpKind::kFusedLayer: {
@@ -261,14 +328,14 @@ Result<Matrix> ExecutePlan(const Plan& plan, const Graph& g) {
           }
           args.push_back(fa);
         }
-        Matrix out(rows, dim);
+        Matrix out = buffers.Take(rows, dim, false);
         FusedLayerInto(rows, args, op.bias.get(), op.act, &out);
         slots[i] = std::move(out);
         break;
       }
       case PlanOpKind::kGinCombine: {
         fused->Increment();
-        Matrix out(n, dim);
+        Matrix out = buffers.Take(n, dim, false);
         FusedGinCombineInto(CsrOf(g, op.csr), slots[op.inputs[0]], op.scale,
                             &out);
         slots[i] = std::move(out);
@@ -277,17 +344,21 @@ Result<Matrix> ExecutePlan(const Plan& plan, const Graph& g) {
       case PlanOpKind::kPoolReadout: {
         fused->Increment();
         const Matrix& values = slots[op.inputs[0]];
-        Matrix pooled = PoolRows(values, FusedAggOf(op.agg), n,
-                                 op.gather == PlanGather::kBroadcast);
+        Matrix pooled = buffers.Take(1, op.weight->rows(), false);
+        PoolRowsInto(values, FusedAggOf(op.agg), n,
+                     op.gather == PlanGather::kBroadcast, &pooled);
         FusedLayerArg fa;
         fa.values = &pooled;
         fa.w = op.weight.get();
-        Matrix out(1, dim);
+        Matrix out = buffers.Take(1, dim, false);
         FusedLayerInto(1, {fa}, op.bias.get(), op.act, &out);
+        buffers.Release(std::move(pooled));
         slots[i] = std::move(out);
         break;
       }
     }
+    ForEachInput(op, [&](uint32_t s) { release_if_dead(s, i); });
+    release_if_dead(static_cast<uint32_t>(i), i);
   }
   return std::move(slots[plan.result]);
 }

@@ -19,6 +19,9 @@ namespace gelc {
 
 /// Runs the plan on `g`. Returns an n x d matrix for a per-vertex plan
 /// (row v = the embedding of vertex v) or a 1 x d row for a closed plan.
+/// Slot buffers come from, and return to, a free list owned by the
+/// calling thread, so executions on different threads share nothing;
+/// as for any shared Graph, build `g.Csr()` before running them at once.
 Result<Matrix> ExecutePlan(const Plan& plan, const Graph& g);
 
 }  // namespace gelc

@@ -16,14 +16,10 @@
 
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
+#include "tensor/simd.h"
 #include "tensor/sparse.h"
 
 namespace gelc {
-
-/// Bag aggregation kinds with fused kernels; semantics (including empty
-/// bags -> zeros and mean's divide-by-count) mirror core/theta.h
-/// bit-for-bit.
-enum class FusedAgg { kSum, kMean, kMax, kCount };
 
 /// One argument of a fused layer: rows of `values` feed the weight slice
 /// `w`, either directly (self argument) or after aggregation over the
@@ -50,6 +46,9 @@ struct FusedLayerArg {
 /// adds last; `act` applies entrywise. Identical bits to the
 /// MatMul/SpMM/operator+/AddRowBroadcast/ApplyActivation composition and
 /// to core/omega.h's `linear` closure. `n` is the output row count.
+/// Every cell of *out is written, so its prior contents never matter.
+/// Each shard runs one simd::FusedLayerRows call; activations other than
+/// the identity and ReLU apply afterwards, per shard, as ApplyActivation.
 void FusedLayerInto(size_t n, const std::vector<FusedLayerArg>& args,
                     const Matrix* bias, Activation act, Matrix* out);
 
@@ -63,7 +62,8 @@ void NeighborAggregateInto(const CsrMatrix& csr, const Matrix& values,
 
 /// GIN combine fused with the neighbor sum, one CSR pass:
 /// out[v] = c * values[v] + Σ_{u in csr row v} values[u]. Identical bits
-/// to (values * c) + SpMM(csr, values).
+/// to (values * c) + SpMM(csr, values). One simd::GinCombineRows call per
+/// shard writes every cell of *out.
 void FusedGinCombineInto(const CsrMatrix& csr, const Matrix& values, double c,
                          Matrix* out);
 
@@ -74,6 +74,11 @@ void FusedGinCombineInto(const CsrMatrix& csr, const Matrix& values, double c,
 /// reduction.
 Matrix PoolRows(const Matrix& values, FusedAgg agg, size_t count,
                 bool broadcast);
+
+/// PoolRows into *out (reshaped to 1 x d_out if needed); every cell is
+/// written, so its prior contents never matter.
+void PoolRowsInto(const Matrix& values, FusedAgg agg, size_t count,
+                  bool broadcast, Matrix* out);
 
 }  // namespace gelc
 

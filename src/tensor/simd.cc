@@ -9,6 +9,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "base/aligned.h"
 #include "base/logging.h"
@@ -104,17 +105,123 @@ void DivRowScalar(double* acc, double s, size_t d) {
   for (size_t j = 0; j < d; ++j) acc[j] /= s;
 }
 
-void GinCombineRowScalar(double* out, const double* self, double c,
-                         const double* agg, size_t d) {
-  for (size_t j = 0; j < d; ++j) out[j] = self[j] * c + agg[j];
+// The GIN combine, one cell at a time: the neighbor sum folds from zero
+// in ascending CSR order, then combines with the scaled self value —
+// (c*x) + (n_1 + n_2 + ...), the reference association.
+void GinCombineRowsScalar(const size_t* row_offsets,
+                          const uint32_t* col_indices, const double* values,
+                          double c, double* out, size_t row_begin,
+                          size_t row_end, size_t d) {
+  for (size_t v = row_begin; v < row_end; ++v) {
+    const double* self = values + v * d;
+    double* orow = out + v * d;
+    for (size_t j = 0; j < d; ++j) {
+      double agg = 0.0;
+      for (size_t k = row_offsets[v]; k < row_offsets[v + 1]; ++k) {
+        agg += values[size_t{col_indices[k]} * d + j];
+      }
+      orow[j] = self[j] * c + agg;
+    }
+  }
 }
 
-void LinearAccumScalar(double* acc, const double* x, const double* w,
-                       size_t d, size_t out_dim) {
-  for (size_t c = 0; c < d; ++c) {
-    const double xc = x[c];
-    const double* wrow = w + c * out_dim;
-    for (size_t j = 0; j < out_dim; ++j) acc[j] += xc * wrow[j];
+// θ over CSR row v of an aggregated argument into acc (a.w_rows values):
+// the fold theta's init/accumulate/finalize closures perform, over the
+// neighbors in ascending adjacency order.
+void AggregateArgRowScalar(const LayerArg& a, size_t v, double* acc) {
+  const size_t d = a.d;
+  const size_t begin = a.row_offsets[v];
+  const size_t end = a.row_offsets[v + 1];
+  auto bag_row = [&a, v, d](size_t k) {
+    const size_t u = a.broadcast        ? 0
+                     : a.gather_source ? v
+                                       : size_t{a.col_indices[k]};
+    return a.values + u * d;
+  };
+  switch (a.agg) {
+    case FusedAgg::kSum:
+    case FusedAgg::kMean: {
+      for (size_t j = 0; j < d; ++j) acc[j] = 0.0;
+      for (size_t k = begin; k < end; ++k) {
+        if (a.csr_values != nullptr) {
+          AddScaledRowScalar(acc, bag_row(k), a.csr_values[k], d);
+        } else {
+          AddRowScalar(acc, bag_row(k), d);
+        }
+      }
+      // Divide by the count (not multiply by the reciprocal): theta's
+      // mean finalization divides, and the bits differ.
+      if (a.agg == FusedAgg::kMean && end != begin) {
+        DivRowScalar(acc, static_cast<double>(end - begin), d);
+      }
+      return;
+    }
+    case FusedAgg::kMax: {
+      for (size_t j = 0; j < d; ++j) {
+        acc[j] = -std::numeric_limits<double>::infinity();
+      }
+      for (size_t k = begin; k < end; ++k) MaxRowScalar(acc, bag_row(k), d);
+      // Empty bags finalize to zeros, exactly like theta::Max.
+      if (end == begin) {
+        for (size_t j = 0; j < d; ++j) acc[j] = 0.0;
+      }
+      return;
+    }
+    case FusedAgg::kCount: {
+      acc[0] = 0.0;
+      for (size_t k = begin; k < end; ++k) acc[0] += 1.0;
+      return;
+    }
+  }
+}
+
+void AggregateRowsScalar(const LayerArg& a, size_t row_begin,
+                         size_t row_end, double* out) {
+  const size_t width = a.agg == FusedAgg::kCount ? 1 : a.d;
+  for (size_t v = row_begin; v < row_end; ++v) {
+    AggregateArgRowScalar(a, v, out + v * width);
+  }
+}
+
+// The fused layer's reference row loop. Argument 0 folds straight into
+// the zeroed output row; later arguments fold into `partial` and add in
+// one left-to-right step, matching `p_0 + p_1 + ...` and omega's linear
+// closure; each fold runs over ascending components — MatMul's i-k-j
+// chain per cell. The bias adds last, then ReLU clamps.
+void FusedLayerRowsScalar(const FusedLayerSpec& s, size_t row_begin,
+                          size_t row_end, double* scratch) {
+  const size_t out_dim = s.out_dim;
+  double* agg_row = scratch;
+  double* partial = scratch + s.agg_dim;
+  for (size_t v = row_begin; v < row_end; ++v) {
+    double* orow = s.out + v * out_dim;
+    for (size_t j = 0; j < out_dim; ++j) orow[j] = 0.0;
+    for (size_t i = 0; i < s.num_args; ++i) {
+      const LayerArg& a = s.args[i];
+      double* acc = i == 0 ? orow : partial;
+      if (i != 0) {
+        for (size_t j = 0; j < out_dim; ++j) acc[j] = 0.0;
+      }
+      const double* x;
+      if (a.row_offsets != nullptr) {
+        AggregateArgRowScalar(a, v, agg_row);
+        x = agg_row;
+      } else {
+        x = a.values + (a.broadcast ? 0 : v) * a.d;
+      }
+      for (size_t c = 0; c < a.w_rows; ++c) {
+        const double xc = x[c];
+        const double* wrow = a.w + c * out_dim;
+        for (size_t j = 0; j < out_dim; ++j) acc[j] += xc * wrow[j];
+      }
+      if (i != 0) AddRowScalar(orow, partial, out_dim);
+    }
+    if (s.bias != nullptr) AddRowScalar(orow, s.bias, out_dim);
+    if (s.relu) {
+      for (size_t j = 0; j < out_dim; ++j) {
+        orow[j] = orow[j] > 0.0 ? orow[j] : 0.0;
+      }
+    }
   }
 }
 
@@ -133,10 +240,11 @@ void MulRowsToScalar(double* out, const double* a, const double* b,
 }
 
 constexpr internal::KernelTable kScalarTable = {
-    MatMulRowsScalar, SpMMRowsScalar,     AddRowScalar,
-    AddScaledRowScalar, MaxRowScalar,     ScaleRowScalar,
-    DivRowScalar,      GinCombineRowScalar, LinearAccumScalar,
-    ScaleRowCopyScalar, AddRowsToScalar,  MulRowsToScalar,
+    MatMulRowsScalar,     SpMMRowsScalar,       AddRowScalar,
+    AddScaledRowScalar,   MaxRowScalar,         ScaleRowScalar,
+    DivRowScalar,         GinCombineRowsScalar, AggregateRowsScalar,
+    FusedLayerRowsScalar, ScaleRowCopyScalar,   AddRowsToScalar,
+    MulRowsToScalar,
 };
 
 // ---------------------------------------------------------------------------
@@ -175,8 +283,9 @@ Tier Install(Tier tier) {
   MaxRow = t->max_row;
   ScaleRow = t->scale_row;
   DivRow = t->div_row;
-  GinCombineRow = t->gin_combine_row;
-  LinearAccum = t->linear_accum;
+  GinCombineRows = t->gin_combine_rows;
+  AggregateRows = t->aggregate_rows;
+  FusedLayerRows = t->fused_layer_rows;
   ScaleRowCopy = t->scale_row_copy;
   AddRowsTo = t->add_rows_to;
   MulRowsTo = t->mul_rows_to;
@@ -207,10 +316,12 @@ void (*AddScaledRow)(double*, const double*, double,
 void (*MaxRow)(double*, const double*, size_t) = MaxRowScalar;
 void (*ScaleRow)(double*, double, size_t) = ScaleRowScalar;
 void (*DivRow)(double*, double, size_t) = DivRowScalar;
-void (*GinCombineRow)(double*, const double*, double, const double*,
-                      size_t) = GinCombineRowScalar;
-void (*LinearAccum)(double*, const double*, const double*, size_t,
-                    size_t) = LinearAccumScalar;
+void (*GinCombineRows)(const size_t*, const uint32_t*, const double*, double,
+                       double*, size_t, size_t, size_t) = GinCombineRowsScalar;
+void (*AggregateRows)(const LayerArg&, size_t, size_t,
+                      double*) = AggregateRowsScalar;
+void (*FusedLayerRows)(const FusedLayerSpec&, size_t, size_t,
+                       double*) = FusedLayerRowsScalar;
 void (*ScaleRowCopy)(double*, const double*, double,
                      size_t) = ScaleRowCopyScalar;
 void (*AddRowsTo)(double*, const double*, const double*,

@@ -33,6 +33,12 @@
 #include <cstdint>
 
 namespace gelc {
+
+/// Bag aggregation kinds with fused kernels (tensor/fused.h); semantics,
+/// including empty bags -> zeros and mean's divide-by-count, mirror
+/// core/theta.h bit for bit.
+enum class FusedAgg { kSum, kMean, kMax, kCount };
+
 namespace simd {
 
 enum class Tier { kScalar, kAvx2, kFast };
@@ -121,15 +127,84 @@ extern void (*ScaleRow)(double* acc, double s, size_t d);
 /// not a multiply by the reciprocal.
 extern void (*DivRow)(double* acc, double s, size_t d);
 
-/// out[j] = self[j] * c + agg[j] for j in [0, d) (the GIN combine).
-extern void (*GinCombineRow)(double* out, const double* self, double c,
-                             const double* agg, size_t d);
+/// Rows [row_begin, row_end) of the fused GIN combine
+/// out[v] = values[v] * c + Σ_{u in csr row v} values[u], with
+/// d = values.cols(). The neighbor sum folds from zero in ascending CSR
+/// order before the one combine step, so each cell's association is
+/// (c*x) + (n_1 + n_2 + ...). `values` and `out` are full-matrix base
+/// pointers; CSR weights, if any, are ignored. The vector tiers gather
+/// the neighbor rows inline and prefetch a few CSR entries ahead.
+extern void (*GinCombineRows)(const size_t* row_offsets,
+                              const uint32_t* col_indices,
+                              const double* values, double c, double* out,
+                              size_t row_begin, size_t row_end, size_t d);
 
-/// acc[j] += Σ_c x[c] * w[c * out_dim + j], c ascending from 0 — the
-/// fused layer's per-argument weight fold (a 1-row matmul against the
-/// d x out_dim weight slice).
-extern void (*LinearAccum)(double* acc, const double* x, const double* w,
-                           size_t d, size_t out_dim);
+/// One argument of a fused layer (tensor/fused.h's FusedLayerArg as raw
+/// pointers): rows of `values` feed the weight slice `w`, directly or
+/// after aggregation over the argument's CSR row.
+struct LayerArg {
+  /// Value table, row-major with `d` columns (one row when `broadcast`).
+  const double* values = nullptr;
+  size_t d = 0;
+  /// w_rows x out_dim weight slice, row-major (w_rows = 1 for kCount,
+  /// d otherwise).
+  const double* w = nullptr;
+  size_t w_rows = 0;
+  /// Non-null: aggregate over this CSR row before the weight.
+  const size_t* row_offsets = nullptr;
+  const uint32_t* col_indices = nullptr;
+  /// CSR weights, or null for an unweighted (all-1.0) operator.
+  const double* csr_values = nullptr;
+  FusedAgg agg = FusedAgg::kSum;
+  /// Read row 0 for every vertex (or every bag element).
+  bool broadcast = false;
+  /// Aggregated arguments only: each bag element is row v itself.
+  bool gather_source = false;
+};
+
+/// A whole fused layer: out = act(Σ_i arg_i W_i + bias) with act the
+/// identity or ReLU (other activations are the caller's pass).
+struct FusedLayerSpec {
+  const LayerArg* args = nullptr;
+  size_t num_args = 0;
+  /// Null or out_dim values.
+  const double* bias = nullptr;
+  bool relu = false;
+  size_t out_dim = 0;
+  /// Widest aggregated argument's w_rows (0 when none is aggregated).
+  size_t agg_dim = 0;
+  /// n x out_dim output base pointer.
+  double* out = nullptr;
+};
+
+/// Rows [row_begin, row_end) of θ over an aggregated argument's CSR rows
+/// (`a.row_offsets` non-null; `a.w` unused): row v of `out` (1 column
+/// for kCount, a.d otherwise) is the input row FusedLayerRows would feed
+/// a's weight — the fold described there. `out` is a full-matrix base
+/// pointer; every cell of the range is written.
+extern void (*AggregateRows)(const LayerArg& a, size_t row_begin,
+                             size_t row_end, double* out);
+
+/// Rows per register tile of the vector FusedLayerRows bodies.
+inline constexpr size_t kFusedLayerRowBlock = 4;
+
+/// Doubles of scratch one FusedLayerRows call needs.
+inline size_t FusedLayerScratchSize(const FusedLayerSpec& spec) {
+  return kFusedLayerRowBlock * spec.agg_dim + spec.out_dim;
+}
+
+/// Rows [row_begin, row_end) of a fused layer, every output cell written.
+/// Per cell (v, j): argument 0 folds Σ_c x_0[c] * w_0[c][j] from zero in
+/// ascending c; each later argument folds its own partial sum from zero
+/// and adds it in one step; the bias adds last; ReLU is x > 0 ? x : 0.
+/// An aggregated argument's input row is θ over its CSR row in ascending
+/// order (sum / weighted sum / mean divides by the count / max from
+/// -inf, empty bags give zeros / count). `scratch` holds
+/// FusedLayerScratchSize(spec) doubles. The vector tiers tile
+/// kFusedLayerRowBlock rows x 8 columns in registers per pass over W,
+/// gather neighbor rows inline with prefetch, and clamp in the store.
+extern void (*FusedLayerRows)(const FusedLayerSpec& spec, size_t row_begin,
+                              size_t row_end, double* scratch);
 
 /// out[j] = s * x[j] for j in [0, d) (the plan executor's kScale).
 extern void (*ScaleRowCopy)(double* out, const double* x, double s,

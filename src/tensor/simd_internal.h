@@ -7,6 +7,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "tensor/simd.h"
+
 namespace gelc {
 namespace simd {
 namespace internal {
@@ -25,10 +27,14 @@ struct KernelTable {
   void (*max_row)(double* acc, const double* x, size_t d);
   void (*scale_row)(double* acc, double s, size_t d);
   void (*div_row)(double* acc, double s, size_t d);
-  void (*gin_combine_row)(double* out, const double* self, double c,
-                          const double* agg, size_t d);
-  void (*linear_accum)(double* acc, const double* x, const double* w,
-                       size_t d, size_t out_dim);
+  void (*gin_combine_rows)(const size_t* row_offsets,
+                           const uint32_t* col_indices, const double* values,
+                           double c, double* out, size_t row_begin,
+                           size_t row_end, size_t d);
+  void (*aggregate_rows)(const LayerArg& a, size_t row_begin,
+                         size_t row_end, double* out);
+  void (*fused_layer_rows)(const FusedLayerSpec& spec, size_t row_begin,
+                           size_t row_end, double* scratch);
   void (*scale_row_copy)(double* out, const double* x, double s, size_t d);
   void (*add_rows_to)(double* out, const double* a, const double* b,
                       size_t d);

@@ -7,6 +7,10 @@
 //   - one inference path: the model entry points of core/compile_gnn.h
 //     equal the interpreter bit for bit for GNN-101, GIN, MPNN and
 //     GraphSAGE, and GCN's direct lowering equals its SpMM reference;
+//   - reused executor buffers: back-to-back plans, repeated plans, MLP
+//     models lowered to fused layers, ID-GNN's per-vertex runs and
+//     concurrent executions on pool workers all equal the interpreter,
+//     and a warm run allocates only its result;
 //   - the structural plan cache.
 #include <gtest/gtest.h>
 
@@ -23,6 +27,7 @@
 #include "gnn/gnn101.h"
 #include "gnn/mpnn.h"
 #include "graph/generators.h"
+#include "obs/metrics.h"
 #include "tensor/sparse.h"
 
 namespace gelc {
@@ -525,6 +530,176 @@ TEST(PlanExecTest, LabelIndexValidatedAtExecution) {
   PlanPtr plan = *CompileToPlan(e);
   Graph narrow(3, 1);  // feature dim 1 < label index 2
   EXPECT_FALSE(ExecutePlan(*plan, narrow).ok());
+}
+
+// -- Reused buffers ----------------------------------------------------------
+//
+// ExecutePlan takes its slot outputs from buffers earlier executions on
+// the same thread released, without zeroing them. Each case below runs
+// where a stale buffer would show: after other plans wrote it.
+
+// A compiled plan with its interpreter value on one graph.
+struct Oracle {
+  std::string name;
+  PlanPtr plan;
+  Matrix want;
+};
+
+Matrix InterpreterValue(Evaluator* ev, const ExprPtr& e) {
+  if (e->free_vars() != 0) return *ev->EvalVertex(e);
+  return Matrix::RowVector(*ev->EvalClosed(e));
+}
+
+// GIN and MPNN (their MLPs lower to fused layers; MPNN's two-argument
+// update concatenates first), GNN-101, a bare label load (the result is
+// the load_labels slot) and random queries, vertex and readout.
+std::vector<Oracle> ReuseOracles(const Graph& g, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::pair<std::string, ExprPtr>> exprs;
+  GinModel gin = *GinModel::Random({kFeatureDim, 4, 4}, 0.5, &rng);
+  exprs.emplace_back("gin", *CompileGinToGel(gin));
+  exprs.emplace_back("gin readout", *CompileGinGraphToGel(gin));
+  for (Aggregation agg :
+       {Aggregation::kSum, Aggregation::kMean, Aggregation::kMax}) {
+    MpnnModel mpnn = *MpnnModel::Random({kFeatureDim, 4, 4}, agg, 0.5, &rng);
+    exprs.emplace_back(std::string("mpnn ") + AggregationName(agg),
+                       *CompileMpnnToGel(mpnn));
+    exprs.emplace_back(std::string("mpnn readout ") + AggregationName(agg),
+                       *CompileMpnnGraphToGel(mpnn));
+  }
+  Gnn101Model gnn =
+      *Gnn101Model::Random({kFeatureDim, 5, 4}, Activation::kReLU, 0.5, &rng);
+  exprs.emplace_back("gnn101", *CompileGnn101ToGel(gnn));
+  exprs.emplace_back("gnn101 readout", *CompileGnn101GraphToGel(gnn));
+  exprs.emplace_back("label", *Expr::Label(1, 0));
+  for (int i = 0; i < 4; ++i) {
+    exprs.emplace_back("random " + std::to_string(i),
+                       RandomPlanExpr(&rng, 0, 1 + rng.NextBounded(3),
+                                      1 + rng.NextBounded(3)));
+  }
+  Evaluator ev(g);
+  std::vector<Oracle> out;
+  for (auto& [name, e] : exprs) {
+    out.push_back({name, *CompileToPlan(e), InterpreterValue(&ev, e)});
+  }
+  return out;
+}
+
+TEST(PlanBufferReuseTest, BackToBackAndRepeatedPlansEqualInterpreter) {
+  Rng rng(41);
+  std::vector<Graph> graphs;
+  graphs.push_back(RandomFeatureGraph(&rng, 12));
+  graphs.push_back(RandomFeatureGraph(&rng, 9));
+  for (size_t gi = 0; gi < graphs.size(); ++gi) {
+    std::vector<Oracle> oracles = ReuseOracles(graphs[gi], 43 + gi);
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      SetParallelThreadCount(threads);
+      // Round 0 runs every plan once after the others; round 1 runs
+      // each twice in a row.
+      for (int round = 0; round < 2; ++round) {
+        for (const Oracle& o : oracles) {
+          for (int rep = 0; rep <= round; ++rep) {
+            Matrix got = *ExecutePlan(*o.plan, graphs[gi]);
+            ExpectBitEqual(o.want, got, o.name.c_str());
+          }
+        }
+      }
+    }
+    SetParallelThreadCount(0);
+  }
+}
+
+TEST(PlanBufferReuseTest, IdGnnPerVertexRunsEqualInterpreter) {
+  // ID-GNN executes its base plan once per marked vertex, each run on
+  // the buffers the previous one released.
+  Rng rng(47);
+  IdGnnModel model =
+      *IdGnnModel::Random({kFeatureDim, 4, 3}, Activation::kTanh, 0.5, &rng);
+  ExprPtr base = *CompileGnn101ToGel(model.base());
+  Graph g = RandomFeatureGraph(&rng, 10);
+  const size_t n = g.num_vertices();
+  Graph marked(n, kFeatureDim + 1, g.directed());
+  for (size_t u = 0; u < n; ++u) {
+    for (VertexId v : g.Neighbors(static_cast<VertexId>(u))) {
+      if (!g.directed() && v < u) continue;
+      ASSERT_TRUE(marked.AddEdge(static_cast<VertexId>(u), v).ok());
+    }
+    for (size_t j = 0; j < kFeatureDim; ++j) {
+      marked.mutable_features().At(u, j) = g.features().At(u, j);
+    }
+  }
+  Matrix want(n, 3);
+  for (size_t v = 0; v < n; ++v) {
+    marked.mutable_features().At(v, kFeatureDim) = 1.0;
+    Evaluator ev(marked);
+    Matrix rows = *ev.EvalVertex(base);
+    marked.mutable_features().At(v, kFeatureDim) = 0.0;
+    for (size_t j = 0; j < want.cols(); ++j) want.At(v, j) = rows.At(v, j);
+  }
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SetParallelThreadCount(threads);
+    ExpectBitEqual(want, *VertexEmbeddings(model, g), "id-gnn");
+  }
+  SetParallelThreadCount(0);
+}
+
+TEST(PlanBufferReuseTest, ConcurrentExecutionsOnPoolWorkers) {
+  // Many plans at once on the pool workers: each worker thread reuses
+  // its own buffers, and every output still equals the interpreter.
+  Rng rng(53);
+  Graph g = RandomFeatureGraph(&rng, 12);
+  (void)g.Csr();  // the first Csr() call builds the cache: not concurrent
+  std::vector<Oracle> oracles = ReuseOracles(g, 59);
+  const size_t tasks = 8 * oracles.size();
+  std::vector<Matrix> got(tasks);
+  SetParallelThreadCount(4);
+  ParallelFor(0, tasks, 1, [&](size_t begin, size_t end) {
+    for (size_t t = begin; t < end; ++t) {
+      got[t] = *ExecutePlan(*oracles[t % oracles.size()].plan, g);
+    }
+  });
+  SetParallelThreadCount(0);
+  for (size_t t = 0; t < tasks; ++t) {
+    const Oracle& o = oracles[t % oracles.size()];
+    ExpectBitEqual(o.want, got[t], o.name.c_str());
+  }
+}
+
+TEST(PlanExecCountersTest, WarmRunAllocatesOnlyItsResult) {
+  const bool metrics_were_on = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  Rng rng(61);
+  Graph g = RandomFeatureGraph(&rng, 12);
+  Gnn101Model a = *Gnn101Model::Random({kFeatureDim, 4, 4, 4},
+                                       Activation::kReLU, 0.5, &rng);
+  Gnn101Model b = *Gnn101Model::Random({kFeatureDim, 5, 5},
+                                       Activation::kReLU, 0.5, &rng);
+  PlanPtr plan_a = *CompileToPlan(*CompileGnn101ToGel(a));
+  PlanPtr plan_b = *CompileToPlan(*CompileGnn101ToGel(b));
+  auto allocs = [] { return obs::ReadCounter("plan.exec_buffer_allocs"); };
+  auto reuses = [] { return obs::ReadCounter("plan.exec_buffer_reuses"); };
+
+  // After plan b, this thread's list holds b's working set.
+  (void)*ExecutePlan(*plan_b, g);
+  uint64_t before = allocs();
+  (void)*ExecutePlan(*plan_a, g);
+  const uint64_t after_b = allocs() - before;
+  EXPECT_GT(after_b, 1u);  // b's vertex[5] buffers fit no op of a
+
+  // Warm: every slot but the result comes from the list.
+  before = allocs();
+  const uint64_t reuses_before = reuses();
+  (void)*ExecutePlan(*plan_a, g);
+  EXPECT_EQ(allocs() - before, 1u) << plan_a->ToString();
+  EXPECT_EQ(reuses() - reuses_before, plan_a->ops.size() - 1);
+
+  // The list keeps one execution's working set, not one per plan: after
+  // plan b ran again, plan a allocates exactly as it did after b before.
+  (void)*ExecutePlan(*plan_b, g);
+  before = allocs();
+  (void)*ExecutePlan(*plan_a, g);
+  EXPECT_EQ(allocs() - before, after_b);
+  obs::SetMetricsEnabled(metrics_were_on);
 }
 
 // -- Plan cache --------------------------------------------------------------

@@ -6,6 +6,8 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include "obs/metrics.h"
 #include "tensor/fused.h"
 #include "tensor/matrix.h"
+#include "tensor/ops.h"
 #include "tensor/segment.h"
 #include "tensor/sparse.h"
 
@@ -175,7 +178,8 @@ TEST_F(SimdBitExactTest, SpMMScalarVsAvx2WeightedAndNot) {
 }
 
 TEST_F(SimdBitExactTest, NeighborAggregateScalarVsAvx2) {
-  for (size_t d : {3u, 8u, 13u}) {
+  // d = 17 spans two gather chunks with a masked tail.
+  for (size_t d : {3u, 8u, 13u, 17u}) {
     CsrMatrix csr = RandomCsr(80, 80, 0.1, true, 17 + d);
     CsrMatrix unweighted = csr;
     unweighted.values.clear();
@@ -185,52 +189,150 @@ TEST_F(SimdBitExactTest, NeighborAggregateScalarVsAvx2) {
       // Max aggregation over weighted CSR ignores weights; use both
       // structures to cover the weighted and unweighted sum paths.
       for (const CsrMatrix* a : {&csr, &unweighted}) {
-        Matrix scalar, avx2;
-        {
-          ScopedTier tier(Tier::kScalar);
-          NeighborAggregateInto(*a, values, agg, false, false, &scalar);
+        // Neighbor, source and broadcast bag rows.
+        for (int gather = 0; gather < 3; ++gather) {
+          for (size_t threads : {size_t{1}, size_t{4}}) {
+            ScopedThreads scoped_threads(threads);
+            Matrix scalar, avx2;
+            {
+              ScopedTier tier(Tier::kScalar);
+              NeighborAggregateInto(*a, values, agg, gather == 2,
+                                    gather == 1, &scalar);
+            }
+            {
+              ScopedTier tier(Tier::kAvx2);
+              NeighborAggregateInto(*a, values, agg, gather == 2,
+                                    gather == 1, &avx2);
+            }
+            EXPECT_TRUE(scalar == avx2)
+                << "d=" << d << " agg=" << static_cast<int>(agg)
+                << " weighted=" << a->weighted() << " gather=" << gather
+                << " threads=" << threads;
+          }
         }
-        {
-          ScopedTier tier(Tier::kAvx2);
-          NeighborAggregateInto(*a, values, agg, false, false, &avx2);
-        }
-        EXPECT_TRUE(scalar == avx2)
-            << "d=" << d << " agg=" << static_cast<int>(agg)
-            << " weighted=" << a->weighted();
       }
     }
   }
 }
 
+// Same bits, with NaN payloads aside: which of two NaN operands an add
+// propagates depends on operand order, which the compiler may swap in
+// the scalar tier; NaN-ness and every other bit (signed zeros, inf) must
+// match exactly.
+bool SameBitsOrBothNan(const Matrix& a, const Matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  for (size_t i = 0; i < a.data().size(); ++i) {
+    const double x = a.data()[i];
+    const double y = b.data()[i];
+    if (std::isnan(x) && std::isnan(y)) continue;
+    if (std::memcmp(&x, &y, sizeof(double)) != 0) return false;
+  }
+  return true;
+}
+
+// Overwrites a few cells with ±0.0, NaN and ±inf, so the vector ReLU and
+// max blend must reproduce x > 0 ? x : 0 and std::max exactly.
+void SprinkleSpecialValues(Matrix* m, uint64_t seed) {
+  const double specials[] = {0.0, -0.0, std::nan(""),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()};
+  Rng rng(seed);
+  for (double& x : m->mutable_data()) {
+    if (rng.NextUniform(0.0, 1.0) < 0.08) {
+      x = specials[rng.NextBounded(5)];
+    }
+  }
+}
+
+// One argument shape of the fused layer sweep.
+enum class ArgKind {
+  kSelf,             // direct row v
+  kBroadcastSelf,    // direct row 0
+  kNeighbor,         // θ over neighbor rows
+  kSource,           // θ over row v, once per neighbor
+  kBroadcastBag,     // θ over row 0, once per neighbor
+};
+
 TEST_F(SimdBitExactTest, FusedLayerAndGinCombineScalarVsAvx2) {
-  const size_t n = 60;
-  for (size_t d : {5u, 16u}) {
-    const size_t out_dim = d + 3;  // not a multiple of 4
-    CsrMatrix csr = RandomCsr(n, n, 0.12, false, 41 + d);
-    Matrix values = RandomMatrix(n, d, 43 + d);
-    Matrix w_self = RandomMatrix(d, out_dim, 47 + d);
-    Matrix w_agg = RandomMatrix(d, out_dim, 53 + d);
-    Matrix bias = RandomMatrix(1, out_dim, 59 + d);
-    std::vector<FusedLayerArg> args(2);
-    args[0].values = &values;
-    args[0].w = &w_self;
-    args[1].values = &values;
-    args[1].w = &w_agg;
-    args[1].csr = &csr;
-    args[1].agg = FusedAgg::kMean;
-    Matrix scalar_layer, avx2_layer, scalar_gin, avx2_gin;
-    {
-      ScopedTier tier(Tier::kScalar);
-      FusedLayerInto(n, args, &bias, Activation::kReLU, &scalar_layer);
-      FusedGinCombineInto(csr, values, 1.25, &scalar_gin);
+  const Activation acts[] = {Activation::kIdentity, Activation::kReLU,
+                             Activation::kSigmoid,  Activation::kTanh,
+                             Activation::kSign,     Activation::kClippedReLU};
+  const FusedAgg aggs[] = {FusedAgg::kSum, FusedAgg::kMean, FusedAgg::kMax,
+                           FusedAgg::kCount};
+  const ArgKind kinds[] = {ArgKind::kSelf, ArgKind::kNeighbor,
+                           ArgKind::kBroadcastSelf, ArgKind::kSource,
+                           ArgKind::kBroadcastBag};
+  size_t config = 0;
+  // n covers empty, partial 4-row blocks, isolated vertices (the sparse
+  // CSR leaves many rows empty) and, at 301, a sharded dispatch.
+  for (size_t n : {0u, 1u, 3u, 5u, 60u, 301u}) {
+    for (size_t d : {1u, 3u, 4u, 5u, 16u, 17u}) {
+      for (size_t out_dim : {1u, 3u, 4u, 8u, 16u, 19u}) {
+        if (n == 301 && out_dim < 16) continue;
+        ++config;
+        const uint64_t seed = 1000 * n + 37 * d + out_dim;
+        CsrMatrix csr = RandomCsr(n, n, n == 0 ? 0.0 : 4.0 / n,
+                                  config % 2 == 0, seed);
+        Matrix values = RandomMatrix(n == 0 ? 1 : n, d, seed + 1);
+        SprinkleSpecialValues(&values, seed + 2);
+        // 1-3 arguments, cycling argument kinds and aggregations.
+        const size_t num_args = 1 + config % 3;
+        std::vector<Matrix> weights;
+        weights.reserve(num_args);
+        std::vector<FusedLayerArg> args(num_args);
+        for (size_t i = 0; i < num_args; ++i) {
+          const ArgKind kind = kinds[(config + 2 * i) % 5];
+          FusedLayerArg& a = args[i];
+          a.values = &values;
+          a.broadcast = kind == ArgKind::kBroadcastSelf ||
+                        kind == ArgKind::kBroadcastBag;
+          size_t w_rows = d;
+          if (kind != ArgKind::kSelf && kind != ArgKind::kBroadcastSelf) {
+            a.csr = &csr;
+            a.agg = aggs[(config + i) % 4];
+            a.gather_source = kind == ArgKind::kSource;
+            if (a.agg == FusedAgg::kCount) w_rows = 1;
+          }
+          weights.push_back(RandomMatrix(w_rows, out_dim, seed + 3 + i));
+        }
+        for (size_t i = 0; i < num_args; ++i) args[i].w = &weights[i];
+        Matrix bias = RandomMatrix(1, out_dim, seed + 9);
+        const Activation act = acts[config % 6];
+        const Matrix* bias_ptr = config % 4 == 3 ? nullptr : &bias;
+        for (size_t threads : {size_t{1}, size_t{4}}) {
+          ScopedThreads scoped_threads(threads);
+          Matrix scalar_layer, avx2_layer;
+          {
+            ScopedTier tier(Tier::kScalar);
+            FusedLayerInto(n, args, bias_ptr, act, &scalar_layer);
+          }
+          {
+            ScopedTier tier(Tier::kAvx2);
+            // A stale buffer of the right shape: every cell is written.
+            avx2_layer = Matrix(n, out_dim, std::nan(""));
+            FusedLayerInto(n, args, bias_ptr, act, &avx2_layer);
+          }
+          EXPECT_TRUE(SameBitsOrBothNan(scalar_layer, avx2_layer))
+              << "n=" << n << " d=" << d << " out_dim=" << out_dim
+              << " args=" << num_args << " act=" << ActivationName(act)
+              << " threads=" << threads;
+          if (n == 0 || d != out_dim) continue;
+          // The GIN combine over the same graph and values.
+          Matrix scalar_gin, avx2_gin;
+          {
+            ScopedTier tier(Tier::kScalar);
+            FusedGinCombineInto(csr, values, 1.25, &scalar_gin);
+          }
+          {
+            ScopedTier tier(Tier::kAvx2);
+            avx2_gin = Matrix(n, d, std::nan(""));
+            FusedGinCombineInto(csr, values, 1.25, &avx2_gin);
+          }
+          EXPECT_TRUE(SameBitsOrBothNan(scalar_gin, avx2_gin))
+              << "gin n=" << n << " d=" << d << " threads=" << threads;
+        }
+      }
     }
-    {
-      ScopedTier tier(Tier::kAvx2);
-      FusedLayerInto(n, args, &bias, Activation::kReLU, &avx2_layer);
-      FusedGinCombineInto(csr, values, 1.25, &avx2_gin);
-    }
-    EXPECT_TRUE(scalar_layer == avx2_layer) << "d=" << d;
-    EXPECT_TRUE(scalar_gin == avx2_gin) << "d=" << d;
   }
 }
 
@@ -303,22 +405,36 @@ TEST_F(SimdBitExactTest, FastTierWithinTolerance) {
   Matrix a = RandomMatrix(120, 80, 301);
   Matrix b = RandomMatrix(80, 96, 302);
   CsrMatrix csr = RandomCsr(120, 120, 0.15, true, 303);
-  Matrix scalar_mm, fast_mm, scalar_sp, fast_sp;
+  // A fused layer: a self argument plus a weighted neighbor sum.
+  Matrix h = RandomMatrix(120, 16, 304);
+  Matrix w_self = RandomMatrix(16, 19, 305);
+  Matrix w_agg = RandomMatrix(16, 19, 306);
+  Matrix bias = RandomMatrix(1, 19, 307);
+  std::vector<FusedLayerArg> args(2);
+  args[0].values = &h;
+  args[0].w = &w_self;
+  args[1].values = &h;
+  args[1].w = &w_agg;
+  args[1].csr = &csr;
+  Matrix scalar_mm, fast_mm, scalar_sp, fast_sp, scalar_layer, fast_layer;
   {
     ScopedTier tier(Tier::kScalar);
     scalar_mm = a.MatMul(b);
     scalar_sp = SpMM(csr, scalar_mm);
+    FusedLayerInto(120, args, &bias, Activation::kReLU, &scalar_layer);
   }
   {
     ScopedTier tier(Tier::kFast);
     fast_mm = a.MatMul(b);
     fast_sp = SpMM(csr, scalar_mm);
+    FusedLayerInto(120, args, &bias, Activation::kReLU, &fast_layer);
   }
   // |entries| are O(1) with k <= 120 accumulation steps; 1e-12 absolute
   // leaves two orders of magnitude over the worst observed FMA drift
   // while still catching any real kernel bug.
   EXPECT_TRUE(scalar_mm.AllClose(fast_mm, 1e-12));
   EXPECT_TRUE(scalar_sp.AllClose(fast_sp, 1e-12));
+  EXPECT_TRUE(scalar_layer.AllClose(fast_layer, 1e-12));
 }
 
 // ---------------------------------------------------------------------------
