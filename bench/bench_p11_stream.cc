@@ -1,12 +1,13 @@
 // P11: streaming-graph maintenance cost. Two questions, one sweep each:
 //
 //   BM_StreamReplay — sustained update throughput (ops/sec) through the
-//   delta-CSR mutation path with a delta-merged SpMM read interleaved
-//   every few batches, at {n, batch, threads}. Each iteration replays a
-//   fixed log and then its inverse (reversed order, inserts and deletes
-//   swapped), so the graph returns to its start state and every
-//   iteration does identical work — no unbounded drift, no untimed
-//   copies.
+//   graph's mutation path with an SpMM read over g.Csr() every 4th
+//   batch, at {n, batch, threads}; each read rebuilds the snapshot the
+//   batches made stale, as the e2e `stream` read does. Each iteration
+//   replays a fixed log and then its inverse (reversed order, inserts
+//   and deletes swapped), so the graph returns to its start state and
+//   every iteration does identical work — no unbounded drift, no
+//   untimed copies.
 //
 //   BM_IncrementalRefine vs BM_FullRefine — per-batch color-refinement
 //   maintenance cost across n at a fixed 4-op batch, over a graph of
@@ -22,9 +23,10 @@
 //   locality win.
 //
 // tests/stream_test.cc pins both paths bit-identical to from-scratch
-// rebuilds; these benches only time them. scripts/run_benches.sh records
-// the sweep plus the stream.* / graph.delta.* / wl.cr.inc.* registry
-// deltas into BENCH_p11.json.
+// rebuilds; these benches only time them, in wall time (UseRealTime) so
+// the 4-thread rows count the pool's work. scripts/run_benches.sh
+// records the sweep plus the stream.* / graph.delta.compactions /
+// wl.cr.inc.* registry deltas into BENCH_p11.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -94,7 +96,6 @@ class StreamCounters {
   StreamCounters()
       : ops_(obs::ReadCounter("stream.ops")),
         compactions_(obs::ReadCounter("graph.delta.compactions")),
-        dirty_rows_(obs::ReadCounter("spmm.delta.dirty_rows")),
         recolored_(obs::ReadCounter("wl.cr.inc.recolored")),
         saved_(obs::ReadCounter("wl.cr.inc.saved")),
         fallbacks_(obs::ReadCounter("wl.cr.inc.fallbacks")) {}
@@ -106,8 +107,6 @@ class StreamCounters {
     state.counters["stream_ops"] = delta(ops_, "stream.ops");
     state.counters["delta_compactions"] =
         delta(compactions_, "graph.delta.compactions");
-    state.counters["spmm_delta_dirty_rows"] =
-        delta(dirty_rows_, "spmm.delta.dirty_rows");
     state.counters["wl_inc_recolored"] =
         delta(recolored_, "wl.cr.inc.recolored");
     state.counters["wl_inc_saved"] = delta(saved_, "wl.cr.inc.saved");
@@ -118,7 +117,6 @@ class StreamCounters {
  private:
   uint64_t ops_;
   uint64_t compactions_;
-  uint64_t dirty_rows_;
   uint64_t recolored_;
   uint64_t saved_;
   uint64_t fallbacks_;
@@ -130,26 +128,27 @@ void ReplaySweep(benchmark::internal::Benchmark* b) {
       for (int64_t threads : {1, 4}) b->Args({n, batch, threads});
 }
 
-// Sustained mutation throughput through the delta path, with an SpMM
-// read over the uncompacted view every 4th batch (a streaming GNN
-// layer's cadence). items/sec = applied ops/sec.
+// Sustained mutation throughput, with an SpMM read over the rebuilt
+// snapshot every 4th batch (a streaming GNN layer's cadence).
+// items/sec = applied ops/sec.
 void BM_StreamReplay(benchmark::State& state) {
   SetParallelThreadCount(static_cast<size_t>(state.range(2)));
   const auto n = static_cast<size_t>(state.range(0));
   Rng rng(11);
   Graph g = MakeBase(n, &rng);
-  (void)g.Csr();  // warm the base snapshot outside the timed loop
+  (void)g.Csr();  // the first build, outside the timed loop
   UpdateLog fwd = GenerateUpdateLog(g, 512, 0.35, &rng);
   UpdateLog bwd = Inverse(fwd);
   Matrix features = Matrix::RandomUniform(n, 16, -1.0, 1.0, &rng);
   ReplayOptions options;
   options.batch_size = static_cast<size_t>(state.range(1));
   size_t batches = 0;
+  Matrix out;
   auto read_some = [&](const ReplayBatch&) {
     if (++batches % 4 == 0) {
-      DeltaCsrView view = g.AdjacencyDeltaView();
-      Matrix out = SpMMDelta(*view.base, view.delta, features);
-      benchmark::DoNotOptimize(out);
+      SpMMInto(g.Csr().adjacency(), features, &out);
+      benchmark::DoNotOptimize(out.data().data());
+      benchmark::ClobberMemory();
     }
     return Status::OK();
   };
@@ -163,7 +162,7 @@ void BM_StreamReplay(benchmark::State& state) {
                           static_cast<int64_t>(fwd.ops.size() * 2));
   SetParallelThreadCount(0);
 }
-BENCHMARK(BM_StreamReplay)->Apply(ReplaySweep);
+BENCHMARK(BM_StreamReplay)->Apply(ReplaySweep)->UseRealTime();
 
 void RefineSweep(benchmark::internal::Benchmark* b) {
   for (int64_t n : {512, 2048, 8192}) b->Args({n});
@@ -203,7 +202,7 @@ void BM_IncrementalRefine(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2);  // batches maintained
   SetParallelThreadCount(0);
 }
-BENCHMARK(BM_IncrementalRefine)->Apply(RefineSweep);
+BENCHMARK(BM_IncrementalRefine)->Apply(RefineSweep)->UseRealTime();
 
 // The from-scratch baseline: same toggles, full re-refinement per batch.
 void BM_FullRefine(benchmark::State& state) {
@@ -230,7 +229,7 @@ void BM_FullRefine(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2);
   SetParallelThreadCount(0);
 }
-BENCHMARK(BM_FullRefine)->Apply(RefineSweep);
+BENCHMARK(BM_FullRefine)->Apply(RefineSweep)->UseRealTime();
 
 }  // namespace
 }  // namespace gelc

@@ -20,7 +20,10 @@
 #                            describe the pool schedule and legitimately
 #                            vary); (b) the gelc_stats --diff regression
 #                            gate self-test: an injected counter increase
-#                            must exit nonzero, equal snapshots zero
+#                            must exit nonzero, equal snapshots zero;
+#                            (c) gelc_stream --verify passes at
+#                            GELC_NUM_THREADS=1 and =4 with byte-identical
+#                            stdout
 #   5. forced-scalar ctest — the whole suite again with GELC_SIMD=0
 #                            exported, so every differential/bit-identity
 #                            test also certifies the scalar fallback tier
@@ -45,7 +48,7 @@
 #                            dynamic race check on top of gelc_lint's
 #                            static one (plan_test also carries the
 #                            compile/fuzz differential suites; stream_test
-#                            drives the delta-SpMM and incremental-
+#                            drives the tape SpMM and incremental-
 #                            refinement signature passes from the pool)
 #
 # Usage: scripts/check.sh [--fast]
@@ -82,11 +85,11 @@ cmp "$tmpdir/det_t1.json" "$tmpdir/det_t4.json" || {
   exit 1
 }
 # (a') The streaming series specifically: the stream workload writes the
-# stream.* / graph.delta.* / spmm.delta.* / wl.cr.inc.* metrics from
-# replay batches, delta-SpMM reads, and incremental refinement — all of
-# which promise thread-count invariance even with timings on. ("all"
-# above already includes the stream workload; this isolates a streaming
-# regression by name.)
+# stream.* / graph.csr_cache.* / graph.delta.compactions / wl.cr.inc.*
+# metrics from replay batches, SpMM reads over the rebuilt snapshot, and
+# incremental refinement — all of which promise thread-count invariance
+# even with timings on. ("all" above already includes the stream
+# workload; this isolates a streaming regression by name.)
 GELC_TIMINGS=1 GELC_NUM_THREADS=1 \
   ./build/tools/gelc_stats --deterministic stream >"$tmpdir/stream_t1.json"
 GELC_TIMINGS=1 GELC_NUM_THREADS=4 \
@@ -109,6 +112,16 @@ fi
 ./build/tools/gelc_stats --diff "$tmpdir/diff_old.json" \
   "$tmpdir/diff_old.json" >/dev/null || {
   echo "check.sh: --diff flagged equal snapshots" >&2
+  exit 1
+}
+# (c) gelc_stream --verify: after every batch the mutated graph's CSR
+# snapshot (all three operators), an SpMM read over it and the
+# incremental refinement partition must equal a from-scratch rebuild's,
+# and the run's stdout must not depend on the thread count.
+GELC_NUM_THREADS=1 ./build/tools/gelc_stream --verify >"$tmpdir/verify_t1.txt"
+GELC_NUM_THREADS=4 ./build/tools/gelc_stream --verify >"$tmpdir/verify_t4.txt"
+cmp "$tmpdir/verify_t1.txt" "$tmpdir/verify_t4.txt" || {
+  echo "check.sh: gelc_stream --verify output differs across thread counts" >&2
   exit 1
 }
 

@@ -28,10 +28,13 @@
 #   filter-regex  only regenerate BENCH files for bench names matching
 #                 this shell glob against the binary name, e.g. 'p8*'.
 #   repetitions   when > 1, run each benchmark this many times and record
-#                 only the mean/median/stddev aggregates in the JSON —
+#                 only the mean/median/stddev/cv aggregates in the JSON —
 #                 use for comparison benches (e.g. p9's batched vs
 #                 per-graph ratio) where a single run on a loaded box is
 #                 too noisy to check in. Default 1 (raw single runs).
+#                 google-benchmark writes the cv of an all-zero counter
+#                 as a bare NaN, which is not JSON; it is recorded as
+#                 null so `gelc_stats --diff` can read the file.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -80,7 +83,7 @@ for bin in build/bench/bench_p*; do
     printf '  "gelc_context": {"git_sha": "%s", "simd_tier": "%s", "host": "%s"},\n' \
       "$git_sha" "$simd_tier" "$host"
     printf '  "gelc_metrics": %s,\n' "$(cat "$snap")"
-    tail -n +2 "$raw"
+    tail -n +2 "$raw" | sed -E 's/: -?(NaN|nan|inf|Infinity)(,?)$/: null\2/'
   } > "BENCH_${short}.json"
   # Compare against the checked-in trajectory point. Informational unless
   # GELC_BENCH_DIFF_STRICT=1: counters scale with bench iteration counts,

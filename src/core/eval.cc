@@ -1,6 +1,7 @@
 #include "core/eval.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "base/logging.h"
 #include "obs/metrics.h"
@@ -9,11 +10,13 @@ namespace gelc {
 
 namespace {
 
-// Number of assignments n^{|vars|}, or 0 on overflow past `cap`.
-size_t CountAssignments(size_t n, VarSet vars, size_t cap) {
+// Number of assignments n^{|vars|}, or nullopt once it passes `cap`. On
+// an empty graph a table with free variables has 0 rows, which is not an
+// overflow.
+std::optional<size_t> CountAssignments(size_t n, VarSet vars, size_t cap) {
   size_t total = 1;
   for (size_t i = 0; i < VarSetSize(vars); ++i) {
-    if (n != 0 && total > cap / n) return 0;
+    if (n != 0 && total > cap / n) return std::nullopt;
     total *= n;
   }
   return total;
@@ -92,12 +95,13 @@ Result<EvalTable> Evaluator::EvalUncached(const ExprPtr& e) {
   out.vars = e->free_vars();
   out.n = n;
   out.dim = e->dim();
-  size_t assignments = CountAssignments(n, out.vars,
-                                        options_.max_table_entries);
-  if (assignments == 0 ||
-      assignments > options_.max_table_entries / std::max<size_t>(out.dim, 1)) {
+  std::optional<size_t> count =
+      CountAssignments(n, out.vars, options_.max_table_entries);
+  if (!count.has_value() ||
+      *count > options_.max_table_entries / std::max<size_t>(out.dim, 1)) {
     return Status::OutOfRange("embedding table exceeds evaluator budget");
   }
+  const size_t assignments = *count;
   out.data.assign(assignments * out.dim, 0.0);
 
   switch (e->kind()) {

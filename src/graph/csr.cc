@@ -1,7 +1,6 @@
 #include "graph/csr.h"
 
 #include <cmath>
-#include <functional>
 #include <vector>
 
 #include "base/logging.h"
@@ -11,15 +10,16 @@ namespace gelc {
 
 namespace {
 
-// Packs adjacency lists (already ascending per row) into binary CSR.
-CsrMatrix PackLists(size_t n,
-                    const std::function<const std::vector<VertexId>&(VertexId)>&
-                        row) {
+// Packs adjacency lists (already ascending per row, `nnz` entries in
+// all) into binary CSR.
+template <typename RowFn>
+CsrMatrix PackLists(size_t n, size_t nnz, RowFn row) {
   CsrMatrix out;
   out.rows = n;
   out.cols = n;
   out.row_offsets.reserve(n + 1);
   out.row_offsets.push_back(0);
+  out.col_indices.reserve(nnz);
   for (size_t v = 0; v < n; ++v) {
     const std::vector<VertexId>& nbrs = row(static_cast<VertexId>(v));
     out.col_indices.insert(out.col_indices.end(), nbrs.begin(), nbrs.end());
@@ -30,9 +30,7 @@ CsrMatrix PackLists(size_t n,
 
 // GCN normalization from a binary adjacency, matching the dense formula
 // entry for entry: Ã = A + I, D̃_vv = Σ_u Ã_vu (out-degree + 1), entry
-// (v,u) of the operator is Ã_vu / sqrt(D̃_vv · D̃_uu). Shared by the
-// from-Graph and compaction constructors so both produce identical bytes
-// — this loop is the byte-exactness anchor for the normalized view.
+// (v,u) of the operator is Ã_vu / sqrt(D̃_vv · D̃_uu).
 CsrMatrix BuildNormalized(const CsrMatrix& adj) {
   const size_t n = adj.rows;
   std::vector<double> dinv(n);
@@ -72,27 +70,13 @@ CsrMatrix BuildNormalized(const CsrMatrix& adj) {
 CsrGraph::CsrGraph(const Graph& g)
     : symmetric_(!g.directed()), epoch_(g.mutation_epoch()) {
   size_t n = g.num_vertices();
-  adjacency_ =
-      PackLists(n, [&g](VertexId v) -> const std::vector<VertexId>& {
-        return g.Neighbors(v);
-      });
+  adjacency_ = PackLists(n, g.num_arcs(), [&g](VertexId v) -> const auto& {
+    return g.Neighbors(v);
+  });
   if (!symmetric_) {
-    transpose_ =
-        PackLists(n, [&g](VertexId v) -> const std::vector<VertexId>& {
-          return g.InNeighbors(v);
-        });
-  }
-  normalized_ = BuildNormalized(adjacency_);
-}
-
-CsrGraph::CsrGraph(const CsrGraph& base, const CsrDeltaRows& adj_delta,
-                   const CsrDeltaRows* in_delta, const Graph& g)
-    : symmetric_(!g.directed()), epoch_(g.mutation_epoch()) {
-  GELC_DCHECK_EQ(base.adjacency_.rows, g.num_vertices());
-  adjacency_ = MergeDeltaRows(base.adjacency_, adj_delta);
-  if (!symmetric_) {
-    GELC_CHECK(in_delta != nullptr);
-    transpose_ = MergeDeltaRows(base.transpose_, *in_delta);
+    transpose_ = PackLists(n, g.num_arcs(), [&g](VertexId v) -> const auto& {
+      return g.InNeighbors(v);
+    });
   }
   normalized_ = BuildNormalized(adjacency_);
 }

@@ -10,10 +10,12 @@
 // For undirected graphs A is symmetric, so transpose() shares storage
 // with adjacency().
 //
-// Every snapshot carries the mutation epoch of the Graph it was built
-// from; CheckFreshFor lets holders of a hoisted view assert (DCHECK, so
-// debug builds only) that the graph has not been mutated underneath them
-// — the staleness hazard of the streaming delta-CSR path (DESIGN.md §12).
+// CsrGraph(g) is the only way a snapshot is built: Graph::Csr() calls it
+// on the first read and again on the first read after a mutation
+// (DESIGN.md §12). Every snapshot carries the mutation epoch of the Graph
+// it was built from; CheckFreshFor lets holders of a hoisted view assert
+// (DCHECK, so debug builds only) that the graph has not been mutated
+// underneath them.
 #ifndef GELC_GRAPH_CSR_H_
 #define GELC_GRAPH_CSR_H_
 
@@ -26,19 +28,11 @@ namespace gelc {
 class Graph;
 
 /// Immutable CSR snapshot of a Graph's structure. Obtain via Graph::Csr()
-/// (cached, compacted on mutation) rather than constructing directly.
+/// (cached, rebuilt on the first read after a mutation) rather than
+/// constructing directly.
 class CsrGraph {
  public:
   explicit CsrGraph(const Graph& g);
-
-  /// Compaction constructor: `base` plus the pending per-row deltas
-  /// (adjacency and, for directed graphs, transpose; `in_delta` is null
-  /// for the symmetric case). Produces exactly the bytes CsrGraph(g)
-  /// would: the merged adjacency/transpose and a normalized operator
-  /// rebuilt from the merged adjacency — degree renormalization touches
-  /// every incident entry, so that operator cannot be delta-merged.
-  CsrGraph(const CsrGraph& base, const CsrDeltaRows& adj_delta,
-           const CsrDeltaRows* in_delta, const Graph& g);
 
   /// Binary adjacency A: row v lists v's out-neighbors ascending.
   const CsrMatrix& adjacency() const { return adjacency_; }

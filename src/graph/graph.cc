@@ -1,7 +1,6 @@
 #include "graph/graph.h"
 
 #include <algorithm>
-#include <cstddef>
 #include <sstream>
 
 #include "base/logging.h"
@@ -40,74 +39,7 @@ bool SortedErase(std::vector<VertexId>* v, VertexId x) {
   return true;
 }
 
-// True if the CSR base stores entry (row, col).
-bool BaseHasEntry(const CsrMatrix& base, VertexId row, VertexId col) {
-  return std::binary_search(
-      base.col_indices.begin() +
-          static_cast<ptrdiff_t>(base.row_offsets[row]),
-      base.col_indices.begin() +
-          static_cast<ptrdiff_t>(base.row_offsets[row + 1]),
-      col);
-}
-
-// Applies one edit to a delta: an insert of an entry the base already has
-// cancels a pending remove (and vice versa), so the delta stays the exact
-// row-wise symmetric difference against the base.
-void RecordEdit(CsrDeltaRows* delta, const CsrMatrix& base, VertexId row,
-                VertexId col, bool insert) {
-  if (insert) {
-    if (BaseHasEntry(base, row, col)) {
-      GELC_CHECK(SortedErase(&delta->remove[row], col));
-      --delta->remove_nnz;
-    } else {
-      GELC_CHECK(SortedInsert(&delta->add[row], col));
-      ++delta->add_nnz;
-    }
-  } else {
-    if (BaseHasEntry(base, row, col)) {
-      GELC_CHECK(SortedInsert(&delta->remove[row], col));
-      ++delta->remove_nnz;
-    } else {
-      GELC_CHECK(SortedErase(&delta->add[row], col));
-      --delta->add_nnz;
-    }
-  }
-}
-
 }  // namespace
-
-void Graph::RecordDeltaArc(VertexId u, VertexId v, bool insert) {
-  if (adj_delta_.rows != num_vertices()) {
-    adj_delta_.Resize(num_vertices());
-    if (directed_) in_delta_.Resize(num_vertices());
-  }
-  RecordEdit(&adj_delta_, csr_->adjacency(), u, v, insert);
-  if (directed_) {
-    RecordEdit(&in_delta_, csr_->transpose(), v, u, insert);
-  } else {
-    RecordEdit(&adj_delta_, csr_->adjacency(), v, u, insert);
-  }
-}
-
-size_t Graph::ResolvedCompactionThreshold() const {
-  if (compaction_threshold_ != 0) return compaction_threshold_;
-  size_t base_nnz = csr_ != nullptr ? csr_->adjacency().nnz() : 0;
-  return std::max<size_t>(256, base_nnz / 4);
-}
-
-void Graph::CompactCsr() const {
-  static obs::Counter* compactions =
-      obs::GetCounter("graph.delta.compactions");
-  static obs::Histogram* size_hist = obs::GetHistogram(
-      "graph.delta.size_at_compaction", {16, 64, 256, 1024, 4096, 16384});
-  compactions->Increment();
-  size_hist->Observe(static_cast<int64_t>(adj_delta_.pending()));
-  GELC_OBS_SCOPE("stream.compaction");
-  csr_ = std::make_shared<const CsrGraph>(
-      *csr_, adj_delta_, directed_ ? &in_delta_ : nullptr, *this);
-  adj_delta_.Clear();
-  if (directed_) in_delta_.Clear();
-}
 
 Status Graph::AddEdge(VertexId u, VertexId v) {
   size_t n = num_vertices();
@@ -129,10 +61,6 @@ Status Graph::AddEdge(VertexId u, VertexId v) {
     ++num_arcs_;
   }
   ++mutation_epoch_;
-  if (csr_ != nullptr) {
-    RecordDeltaArc(u, v, /*insert=*/true);
-    if (adj_delta_.pending() > ResolvedCompactionThreshold()) CompactCsr();
-  }
   return Status::OK();
 }
 
@@ -156,10 +84,6 @@ Status Graph::RemoveEdge(VertexId u, VertexId v) {
     --num_arcs_;
   }
   ++mutation_epoch_;
-  if (csr_ != nullptr) {
-    RecordDeltaArc(u, v, /*insert=*/false);
-    if (adj_delta_.pending() > ResolvedCompactionThreshold()) CompactCsr();
-  }
   return Status::OK();
 }
 
@@ -189,44 +113,21 @@ Matrix Graph::AdjacencyMatrix() const {
   return a;
 }
 
-void Graph::EnsureCsrBase() const {
-  if (csr_ != nullptr) return;
-  static obs::Counter* misses = obs::GetCounter("graph.csr_cache.misses");
-  misses->Increment();
-  GELC_OBS_SCOPE("graph.csr_build");
-  csr_ = std::make_shared<const CsrGraph>(*this);
-}
-
 const CsrGraph& Graph::Csr() const {
-  if (csr_ == nullptr) {
-    EnsureCsrBase();
-  } else if (csr_->epoch() != mutation_epoch_) {
-    // Fold the pending delta so the snapshot is exact. An empty delta
-    // (edits that cancelled out) still gets a snapshot at the current
-    // epoch, so staleness checks see it as fresh.
-    CompactCsr();
-  } else {
+  if (csr_ != nullptr && csr_->epoch() == mutation_epoch_) {
     static obs::Counter* hits = obs::GetCounter("graph.csr_cache.hits");
     hits->Increment();
+    return *csr_;
   }
+  // The first build is a cache miss; every later one replaces a snapshot
+  // that mutations made stale (e2e reads it as graph.delta.compactions).
+  // Both are the one CsrGraph(*this) construction.
+  static obs::Counter* misses = obs::GetCounter("graph.csr_cache.misses");
+  static obs::Counter* rebuilds = obs::GetCounter("graph.delta.compactions");
+  (csr_ == nullptr ? misses : rebuilds)->Increment();
+  GELC_OBS_SCOPE("graph.csr_build");
+  csr_ = std::make_shared<const CsrGraph>(*this);
   return *csr_;
-}
-
-DeltaCsrView Graph::AdjacencyDeltaView() const {
-  EnsureCsrBase();
-  DeltaCsrView view;
-  view.base = &csr_->adjacency();
-  view.delta = adj_delta_.empty() ? nullptr : &adj_delta_;
-  return view;
-}
-
-DeltaCsrView Graph::TransposeDeltaView() const {
-  if (!directed_) return AdjacencyDeltaView();
-  EnsureCsrBase();
-  DeltaCsrView view;
-  view.base = &csr_->transpose();
-  view.delta = in_delta_.empty() ? nullptr : &in_delta_;
-  return view;
 }
 
 size_t Graph::dense_adjacency_builds() {

@@ -5,13 +5,12 @@
 // graphs are represented by symmetric arc sets; the `directed()` flag only
 // records intent (it affects nothing semantically once arcs are symmetric).
 //
-// Streaming (DESIGN.md §12): AddEdge/RemoveEdge no longer throw away the
-// cached CSR snapshot. While a snapshot exists, mutations are recorded as
-// sorted per-row deltas (tensor/sparse.h CsrDeltaRows) against it; readers
-// either merge on the fly (AdjacencyDeltaView + SpMMDelta) or trigger a
-// threshold/at-read compaction that folds the delta into a fresh snapshot.
-// Every successful mutation bumps mutation_epoch(), which CsrGraph
-// snapshots carry so hoisted views can DCHECK their own freshness.
+// Streaming (DESIGN.md §12): AddEdge/RemoveEdge update the sorted
+// adjacency lists and bump mutation_epoch(), nothing else. The CSR
+// snapshot (graph/csr.h) has one construction path, CsrGraph(g): Csr()
+// builds a fresh one whenever the cached snapshot's epoch is behind the
+// graph's, so a batch of k mutations costs one build at the next read.
+// Snapshots carry their epoch so hoisted views can DCHECK their freshness.
 #ifndef GELC_GRAPH_GRAPH_H_
 #define GELC_GRAPH_GRAPH_H_
 
@@ -28,16 +27,6 @@
 namespace gelc {
 
 using VertexId = uint32_t;
-
-/// A borrowed view of the logical adjacency (or transpose) as an
-/// immutable CSR base plus the pending, not-yet-compacted edit lists.
-/// `delta` is null when the base is exact. Both pointers are owned by the
-/// Graph and are invalidated by the next mutation or compaction — re-fetch
-/// per batch, don't hoist across mutations.
-struct DeltaCsrView {
-  const CsrMatrix* base = nullptr;
-  const CsrDeltaRows* delta = nullptr;
-};
 
 /// A finite vertex-labelled graph. Vertex labels are feature vectors in
 /// R^d (discrete label alphabets are one-hot encoded, slide 6).
@@ -106,32 +95,19 @@ class Graph {
   Matrix MeanAdjacencyMatrix() const;
 
   /// The CSR view (adjacency, transpose, GCN-normalized operators), built
-  /// on first call and cached. A mutation no longer discards the
-  /// snapshot: it appends to the delta buffers, and Csr() compacts any
-  /// pending delta into a fresh snapshot before returning — so the
-  /// returned reference always reflects the current structure but lives
-  /// only until the next mutation-then-compaction. Holders hoisting the
-  /// reference across other work should CheckFreshFor() it (trainers do).
-  /// Like all mutating-on-first-use paths, the first Csr() call is not
+  /// on first call and cached. A mutation leaves the cached snapshot in
+  /// place; the next Csr() sees its epoch is behind and replaces it with
+  /// a fresh build, so the returned reference always reflects the current
+  /// structure. A reference taken before a mutation stays readable (it
+  /// shows the old structure) until that rebuild frees it. Holders
+  /// hoisting the reference across other work should CheckFreshFor() it
+  /// (trainers do). Like all mutating-on-first-use paths, Csr() is not
   /// thread-safe; call it once before sharing the graph across shards.
   const CsrGraph& Csr() const;
-
-  /// The logical adjacency as base CSR + pending delta, without
-  /// compacting. Builds the base snapshot on first call; the cheap path
-  /// for streaming readers (SpMMDelta merges rows on the fly).
-  DeltaCsrView AdjacencyDeltaView() const;
-  /// Same for the transpose Aᵀ (shares the adjacency when undirected).
-  DeltaCsrView TransposeDeltaView() const;
 
   /// Number of successful AddEdge/RemoveEdge mutations so far; CsrGraph
   /// snapshots record the epoch they were built at (staleness checks).
   uint64_t mutation_epoch() const { return mutation_epoch_; }
-  /// Pending delta edits (arcs) not yet compacted into the CSR base.
-  size_t csr_pending_delta() const { return adj_delta_.pending(); }
-  /// Overrides the compaction threshold (pending arcs that trigger an
-  /// in-mutation compaction). 0 restores the default
-  /// max(256, base_nnz / 4). Benchmarks sweep this.
-  void set_csr_compaction_threshold(size_t t) { compaction_threshold_ = t; }
 
   /// How many times a dense adjacency matrix has been materialized by
   /// *any* graph in this process (AdjacencyMatrix / MeanAdjacencyMatrix) —
@@ -159,29 +135,16 @@ class Graph {
   std::string ToDot(const std::string& name = "G") const;
 
  private:
-  // Builds the CSR base snapshot if absent (never compacts).
-  void EnsureCsrBase() const;
-  // Records one arc edit against the current CSR base.
-  void RecordDeltaArc(VertexId u, VertexId v, bool insert);
-  // Folds the pending delta into a fresh CSR snapshot and clears it.
-  void CompactCsr() const;
-  // Threshold actually in force (resolves the 0 = auto default).
-  size_t ResolvedCompactionThreshold() const;
-
   bool directed_;
   size_t num_arcs_ = 0;
   uint64_t mutation_epoch_ = 0;
-  size_t compaction_threshold_ = 0;  // 0 = auto
   std::vector<std::vector<VertexId>> out_;
   std::vector<std::vector<VertexId>> in_;
   Matrix features_;
-  // Lazily-built CSR snapshot; shared so copies of an unmutated graph
-  // reuse it, replaced (not mutated) on compaction. Never exposed
-  // mutably. The delta buffers record mutations made since the snapshot;
-  // they are value members, so graph copies carry their pending edits.
+  // Lazily-built CSR snapshot; shared so copies of a graph reuse it,
+  // replaced (never mutated) when a read finds it stale. Never exposed
+  // mutably.
   mutable std::shared_ptr<const CsrGraph> csr_;
-  mutable CsrDeltaRows adj_delta_;
-  mutable CsrDeltaRows in_delta_;  // directed only; adj covers symmetric
 };
 
 }  // namespace gelc

@@ -17,9 +17,10 @@
 //
 // The replayer applies ops in batches and reports each batch's touched
 // endpoints (sorted, deduplicated) to a callback — exactly the dirty
-// seed set incremental color refinement wants. It never calls the full
-// Graph::Csr() rebuild API (the csr-rebuild-in-stream-path lint rule
-// pins that): readers downstream use the delta views instead.
+// seed set incremental color refinement wants. It never calls
+// Graph::Csr() (the csr-rebuild-in-stream-path lint rule pins that):
+// mutations only make the cached snapshot stale, and a reader downstream
+// pays one rebuild when it next calls Csr(), however many batches ran.
 #ifndef GELC_GRAPH_UPDATE_LOG_H_
 #define GELC_GRAPH_UPDATE_LOG_H_
 

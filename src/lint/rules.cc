@@ -300,11 +300,11 @@ void RuleDenseAdjacency(const FileContext& ctx, std::vector<Diagnostic>* out) {
 
 // ---------------------------------------------------------------------------
 // csr-rebuild-in-stream-path: the update-log replayer is the streaming
-// hot loop; calling the full Graph::Csr() compaction (or materializing a
-// dense adjacency) per op/batch reintroduces the rebuild-per-mutation
-// cost the delta-CSR exists to remove. Streaming readers use
-// AdjacencyDeltaView()/TransposeDeltaView() + SpMMDelta instead;
-// compaction happens on the Graph's own threshold schedule.
+// hot loop. A mutation makes the cached CSR snapshot stale, so calling
+// Graph::Csr() (or materializing a dense adjacency) per op/batch inside
+// it forces a full O(n + m) build per batch. The snapshot is rebuilt
+// only when a reader asks for it, so reads belong in the caller, at the
+// reader's own cadence.
 // ---------------------------------------------------------------------------
 void RuleCsrRebuildInStreamPath(const FileContext& ctx,
                                 std::vector<Diagnostic>* out) {
@@ -321,8 +321,8 @@ void RuleCsrRebuildInStreamPath(const FileContext& ctx,
       Report(ctx, t[i].line, "csr-rebuild-in-stream-path",
              t[i].text +
                  "() in the update-log replay path forces a full CSR "
-                 "rebuild per batch; stream readers use the delta views "
-                 "(Graph::AdjacencyDeltaView) instead",
+                 "rebuild per batch; read the graph from the replay "
+                 "caller, at the reader's cadence, instead",
              out);
     }
   }

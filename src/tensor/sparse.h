@@ -53,62 +53,6 @@ Matrix SpMM(const CsrMatrix& a, const Matrix& b);
 /// matches (no allocation inside training loops). `out` must not alias b.
 void SpMMInto(const CsrMatrix& a, const Matrix& b, Matrix* out);
 
-/// Per-row edits pending against an unweighted base CSR (the delta half
-/// of the streaming delta-CSR, DESIGN.md §12). For each row v, `add[v]`
-/// lists column indices to insert (ascending, disjoint from the base
-/// row) and `remove[v]` lists columns to drop (ascending, each present
-/// in the base row). Rows with both lists empty are *clean*: readers
-/// iterate the base storage untouched, so a mostly-clean delta costs
-/// nothing on the hot path.
-struct CsrDeltaRows {
-  size_t rows = 0;
-  std::vector<std::vector<uint32_t>> add;
-  std::vector<std::vector<uint32_t>> remove;
-  size_t add_nnz = 0;
-  size_t remove_nnz = 0;
-
-  /// Total pending edits (inserts + deletes) awaiting compaction.
-  size_t pending() const { return add_nnz + remove_nnz; }
-  bool empty() const { return pending() == 0; }
-  bool RowDirty(size_t v) const {
-    return !add[v].empty() || !remove[v].empty();
-  }
-  /// Sizes the per-row edit lists for an n-row base (idempotent).
-  void Resize(size_t n) {
-    rows = n;
-    add.resize(n);
-    remove.resize(n);
-  }
-  void Clear() {
-    for (auto& r : add) r.clear();
-    for (auto& r : remove) r.clear();
-    add_nnz = 0;
-    remove_nnz = 0;
-  }
-};
-
-/// Materializes row v of base+delta into *out (ascending column order):
-/// the base row minus `remove[v]` merged with `add[v]`. Exactly the
-/// column sequence a compacted CSR would store for that row.
-void MergeDeltaRow(const CsrMatrix& base, const CsrDeltaRows& delta,
-                   size_t v, std::vector<uint32_t>* out);
-
-/// Compacts base+delta into a fresh sorted CSR. `base` must be
-/// unweighted (the delta protocol has no per-edit values).
-CsrMatrix MergeDeltaRows(const CsrMatrix& base, const CsrDeltaRows& delta);
-
-/// SpMM over the *logical* matrix base+delta without compacting it:
-/// clean row runs execute on the base storage via the dispatched kernel;
-/// each dirty row is merged into a scratch buffer and pushed through the
-/// same kernel. Bit-identical to SpMM(MergeDeltaRows(base, delta), b) at
-/// any thread count and in every SIMD tier (including fast/FMA, which
-/// sees the identical per-row column sequence). `delta` may be null or
-/// empty, in which case this is exactly SpMMInto(base, b, out).
-void SpMMDeltaInto(const CsrMatrix& base, const CsrDeltaRows* delta,
-                   const Matrix& b, Matrix* out);
-Matrix SpMMDelta(const CsrMatrix& base, const CsrDeltaRows* delta,
-                 const Matrix& b);
-
 }  // namespace gelc
 
 #endif  // GELC_TENSOR_SPARSE_H_

@@ -334,8 +334,8 @@ TEST(RulesTest, CsrRebuildInStreamPathOnlyInUpdateLog) {
                 .size(),
             1u);
   // The same calls anywhere else — including the rest of graph/ and the
-  // stream tests/tools, where the compaction path is the subject under
-  // test — are the sanctioned snapshot API.
+  // stream tests/tools, where the rebuild-on-read path is the subject
+  // under test — are the sanctioned snapshot API.
   EXPECT_TRUE(RunOn("src/graph/graph.cc", src).empty());
   EXPECT_TRUE(RunOn("tests/stream_test.cc", src).empty());
   EXPECT_TRUE(RunOn("tools/gelc_stream.cc", src).empty());

@@ -506,11 +506,57 @@ TEST(PlanExecTest, OpaqueOmegaAndThetaStillExecuteBitEqual) {
   ExpectBitEqual(interp, plan_out, "opaque ops");
 }
 
+// GIN and MPNN (their MLPs lower to fused layers; MPNN's two-argument
+// update concatenates first), GNN-101, a bare label load (the result is
+// the load_labels slot) and random queries, vertex and readout.
+std::vector<std::pair<std::string, ExprPtr>> OracleExprs(uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::pair<std::string, ExprPtr>> exprs;
+  GinModel gin = *GinModel::Random({kFeatureDim, 4, 4}, 0.5, &rng);
+  exprs.emplace_back("gin", *CompileGinToGel(gin));
+  exprs.emplace_back("gin readout", *CompileGinGraphToGel(gin));
+  for (Aggregation agg :
+       {Aggregation::kSum, Aggregation::kMean, Aggregation::kMax}) {
+    MpnnModel mpnn = *MpnnModel::Random({kFeatureDim, 4, 4}, agg, 0.5, &rng);
+    exprs.emplace_back(std::string("mpnn ") + AggregationName(agg),
+                       *CompileMpnnToGel(mpnn));
+    exprs.emplace_back(std::string("mpnn readout ") + AggregationName(agg),
+                       *CompileMpnnGraphToGel(mpnn));
+  }
+  Gnn101Model gnn =
+      *Gnn101Model::Random({kFeatureDim, 5, 4}, Activation::kReLU, 0.5, &rng);
+  exprs.emplace_back("gnn101", *CompileGnn101ToGel(gnn));
+  exprs.emplace_back("gnn101 readout", *CompileGnn101GraphToGel(gnn));
+  exprs.emplace_back("label", *Expr::Label(1, 0));
+  for (int i = 0; i < 4; ++i) {
+    exprs.emplace_back("random " + std::to_string(i),
+                       RandomPlanExpr(&rng, 0, 1 + rng.NextBounded(3),
+                                      1 + rng.NextBounded(3)));
+  }
+  return exprs;
+}
+
 TEST(PlanExecTest, EmptyGraphAndIsolatedVertices) {
-  ExprPtr deg = DegreeExpr(0, 1);
+  // On the empty graph the interpreter answers too: a vertex query has
+  // no rows and a readout aggregates the empty multiset. The plan agrees
+  // with it bit for bit.
   Graph empty(0, kFeatureDim);
-  Matrix m = *ExecutePlan(**CompileToPlan(deg), empty);
-  EXPECT_EQ(m.rows(), 0u);
+  Evaluator empty_ev(empty);
+  std::vector<std::pair<std::string, ExprPtr>> exprs = OracleExprs(61);
+  exprs.emplace_back("degree", DegreeExpr(0, 1));
+  auto interpret = [&empty_ev](const ExprPtr& e) -> Result<Matrix> {
+    if (e->free_vars() != 0) return empty_ev.EvalVertex(e);
+    GELC_ASSIGN_OR_RETURN(std::vector<double> row, empty_ev.EvalClosed(e));
+    return Matrix::RowVector(row);
+  };
+  for (const auto& [name, e] : exprs) {
+    Result<Matrix> plan_out = ExecutePlan(**CompileToPlan(e), empty);
+    ASSERT_TRUE(plan_out.ok()) << name;
+    Result<Matrix> interp = interpret(e);
+    ASSERT_TRUE(interp.ok()) << name << ": " << interp.status().ToString();
+    EXPECT_EQ(interp->rows(), e->free_vars() != 0 ? 0u : 1u) << name;
+    ExpectBitEqual(*interp, *plan_out, name.c_str());
+  }
   // Max over an empty neighborhood finalizes to zero, like theta::Max.
   ExprPtr mx = *Expr::Aggregate(theta::Max(1), VarBit(1),
                                 *Expr::Label(0, 1), *Expr::Edge(0, 1));
@@ -550,36 +596,11 @@ Matrix InterpreterValue(Evaluator* ev, const ExprPtr& e) {
   return Matrix::RowVector(*ev->EvalClosed(e));
 }
 
-// GIN and MPNN (their MLPs lower to fused layers; MPNN's two-argument
-// update concatenates first), GNN-101, a bare label load (the result is
-// the load_labels slot) and random queries, vertex and readout.
+// The OracleExprs queries, compiled, with their values on g.
 std::vector<Oracle> ReuseOracles(const Graph& g, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::pair<std::string, ExprPtr>> exprs;
-  GinModel gin = *GinModel::Random({kFeatureDim, 4, 4}, 0.5, &rng);
-  exprs.emplace_back("gin", *CompileGinToGel(gin));
-  exprs.emplace_back("gin readout", *CompileGinGraphToGel(gin));
-  for (Aggregation agg :
-       {Aggregation::kSum, Aggregation::kMean, Aggregation::kMax}) {
-    MpnnModel mpnn = *MpnnModel::Random({kFeatureDim, 4, 4}, agg, 0.5, &rng);
-    exprs.emplace_back(std::string("mpnn ") + AggregationName(agg),
-                       *CompileMpnnToGel(mpnn));
-    exprs.emplace_back(std::string("mpnn readout ") + AggregationName(agg),
-                       *CompileMpnnGraphToGel(mpnn));
-  }
-  Gnn101Model gnn =
-      *Gnn101Model::Random({kFeatureDim, 5, 4}, Activation::kReLU, 0.5, &rng);
-  exprs.emplace_back("gnn101", *CompileGnn101ToGel(gnn));
-  exprs.emplace_back("gnn101 readout", *CompileGnn101GraphToGel(gnn));
-  exprs.emplace_back("label", *Expr::Label(1, 0));
-  for (int i = 0; i < 4; ++i) {
-    exprs.emplace_back("random " + std::to_string(i),
-                       RandomPlanExpr(&rng, 0, 1 + rng.NextBounded(3),
-                                      1 + rng.NextBounded(3)));
-  }
   Evaluator ev(g);
   std::vector<Oracle> out;
-  for (auto& [name, e] : exprs) {
+  for (auto& [name, e] : OracleExprs(seed)) {
     out.push_back({name, *CompileToPlan(e), InterpreterValue(&ev, e)});
   }
   return out;

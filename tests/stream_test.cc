@@ -1,18 +1,19 @@
-// Differential tests for the streaming layer (DESIGN.md §12): delta-CSR
-// maintenance, update-log replay, and incremental color refinement are
-// each pinned against their from-scratch counterparts with *exact*
-// equality — the same bit-for-bit contract the batch/plan/simd suites
-// use. The headline suite replays ≥200 random interleavings of inserts,
-// deletes, compactions, and reads, and after every batch checks
+// Differential tests for the streaming layer (DESIGN.md §12): the
+// rebuilt-on-read CSR snapshot, update-log replay, and incremental color
+// refinement are each pinned against their from-scratch counterparts
+// with *exact* equality — the same bit-for-bit contract the
+// batch/plan/simd suites use. The headline suite replays 200 random
+// interleavings of inserts, deletes and reads, and after every batch
+// checks
 //
-//   * SpMMDelta over the uncompacted delta view == SpMM over a CSR
-//     rebuilt from scratch (byte-equal doubles),
-//   * Csr() compaction == a fresh CsrGraph(g) — all three operators'
-//     vectors compare equal element-for-element,
+//   * Csr() of the mutated graph == the CsrGraph of a never-mutated
+//     rebuild — all three operators' vectors compare equal element for
+//     element,
 //   * IncrementalColorRefiner == a fresh RunColorRefinement: same
 //     vertex partition and same round count,
-//   * tape SparseMatMul gradients through the mutated graph's views ==
-//     gradients through a never-mutated graph with the same edges.
+//
+// and at the end that tape SparseMatMul gradients through the mutated
+// graph's snapshot == gradients through the never-mutated rebuild's.
 //
 // Registered with GELC_NUM_THREADS=1 and =4 ctest variants (and run
 // under TSAN by scripts/check.sh), so the determinism contract of the
@@ -30,7 +31,6 @@
 #include "graph/update_log.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
-#include "obs/snapshot.h"
 #include "tensor/matrix.h"
 #include "tensor/sparse.h"
 #include "wl/color_refinement.h"
@@ -105,9 +105,9 @@ void ExpectBitEqual(const Matrix& a, const Matrix& b) {
 }
 
 // ---------------------------------------------------------------------------
-// Headline differential fuzz: random interleavings of inserts, deletes,
-// compactions, and reads; every observable view stays exactly equal to a
-// from-scratch rebuild after every batch.
+// Headline differential fuzz: random interleavings of inserts, deletes
+// and reads; every observable view stays exactly equal to a from-scratch
+// rebuild after every batch.
 
 class StreamDifferentialFuzz : public ::testing::TestWithParam<uint64_t> {};
 
@@ -117,21 +117,7 @@ TEST_P(StreamDifferentialFuzz, AllViewsMatchFromScratchAfterEveryBatch) {
   const bool directed = (seed % 2) == 1;
   Graph g = RandomLabelledGraph(&rng, 14, directed);
 
-  // Vary the compaction regime across seeds: eager (tiny threshold),
-  // auto, and effectively-never, so every interleaving class is covered.
-  switch (seed % 3) {
-    case 0:
-      g.set_csr_compaction_threshold(3);
-      break;
-    case 1:
-      g.set_csr_compaction_threshold(0);  // auto: max(256, nnz/4)
-      break;
-    default:
-      g.set_csr_compaction_threshold(1u << 20);
-      break;
-  }
-
-  // Warm the CSR base so mutations go through the delta path.
+  // Build the first snapshot, so every read below replaces a stale one.
   (void)g.Csr();
   IncrementalColorRefiner refiner(
       &g, IncrementalColorRefiner::Options{/*fallback_dirty_fraction=*/
@@ -152,18 +138,7 @@ TEST_P(StreamDifferentialFuzz, AllViewsMatchFromScratchAfterEveryBatch) {
     ++batches;
     Graph fresh = RebuildFromScratch(g);
 
-    // (1) Delta-merged SpMM against the from-scratch operator, without
-    // compacting (the delta views must not fold the pending edits).
-    const size_t pending_before = g.csr_pending_delta();
-    DeltaCsrView adj = g.AdjacencyDeltaView();
-    ExpectBitEqual(SpMMDelta(*adj.base, adj.delta, dense),
-                   SpMM(fresh.Csr().adjacency(), dense));
-    DeltaCsrView tr = g.TransposeDeltaView();
-    ExpectBitEqual(SpMMDelta(*tr.base, tr.delta, dense),
-                   SpMM(fresh.Csr().transpose(), dense));
-    EXPECT_EQ(g.csr_pending_delta(), pending_before);
-
-    // (2) Incremental refinement against a from-scratch run: same
+    // (1) Incremental refinement against a from-scratch run: same
     // partition, same round count (ids may differ).
     refiner.Update(batch.touched);
     CrColoring cr = RunColorRefinement({&g});
@@ -171,23 +146,20 @@ TEST_P(StreamDifferentialFuzz, AllViewsMatchFromScratchAfterEveryBatch) {
               NormalizePartition(cr.stable[0]));
     EXPECT_EQ(refiner.rounds(), cr.rounds);
 
-    // (3) Every third batch, force a read-compaction and compare all
-    // three operators of the compacted snapshot with a fresh build.
-    if (batches % 3 == 0) {
-      const CsrGraph& compacted = g.Csr();
-      EXPECT_EQ(g.csr_pending_delta(), 0u);
-      const CsrGraph& rebuilt = fresh.Csr();
-      ExpectSameCsr(compacted.adjacency(), rebuilt.adjacency());
-      ExpectSameCsr(compacted.transpose(), rebuilt.transpose());
-      ExpectSameCsr(compacted.normalized(), rebuilt.normalized());
-      compacted.CheckFreshFor(g);  // snapshot is current by construction
-    }
+    // (2) The snapshot Csr() rebuilds from the mutated graph equals a
+    // never-mutated graph's, all three operators array for array.
+    const CsrGraph& mutated = g.Csr();
+    const CsrGraph& rebuilt = fresh.Csr();
+    ExpectSameCsr(mutated.adjacency(), rebuilt.adjacency());
+    ExpectSameCsr(mutated.transpose(), rebuilt.transpose());
+    ExpectSameCsr(mutated.normalized(), rebuilt.normalized());
+    mutated.CheckFreshFor(g);  // snapshot is current by construction
     return Status::OK();
   };
   GELC_CHECK_OK(ReplayUpdateLog(log, &g, options, check_batch));
   EXPECT_GT(batches, 0u);
 
-  // (4) Tape SparseMatMul gradients through the mutated graph's final
+  // (3) Tape SparseMatMul gradients through the mutated graph's final
   // snapshot are bit-identical to the never-mutated rebuild's.
   Graph fresh = RebuildFromScratch(g);
   const CsrGraph& mutated_csr = g.Csr();
@@ -209,89 +181,91 @@ TEST_P(StreamDifferentialFuzz, AllViewsMatchFromScratchAfterEveryBatch) {
   ExpectBitEqual(grad_mutated, grad_fresh);
 }
 
-// 200 interleavings: even seeds undirected, odd directed; three
-// compaction regimes; batch sizes 1..9; every fifth seed runs the
-// refiner with an aggressive fallback threshold.
+// 200 interleavings: even seeds undirected, odd directed; batch sizes
+// 1..9; every fifth seed runs the refiner with an aggressive fallback
+// threshold.
 INSTANTIATE_TEST_SUITE_P(Seeds, StreamDifferentialFuzz,
                          ::testing::Range<uint64_t>(1, 201));
 
 // ---------------------------------------------------------------------------
-// Delta-CSR unit coverage.
+// CSR snapshot unit coverage: one build path, rebuilt on the first read
+// after a mutation.
 
-TEST(DeltaCsr, ViewIsExactBeforeAnyMutation) {
-  Rng rng(5);
-  Graph g = RandomLabelledGraph(&rng, 10, /*directed=*/false);
-  (void)g.Csr();
-  DeltaCsrView view = g.AdjacencyDeltaView();
-  ASSERT_NE(view.base, nullptr);
-  EXPECT_EQ(view.delta, nullptr);  // base is exact, no pending edits
-  EXPECT_EQ(g.csr_pending_delta(), 0u);
-}
-
-TEST(DeltaCsr, MutationsAccumulateInDeltaThenCompactAtRead) {
-  Graph g(6, 1, /*directed=*/false);
-  g.set_csr_compaction_threshold(1u << 20);  // never auto-compact
+TEST(CsrSnapshot, MutationsThenOneReadAreOneRebuild) {
+  Graph g(8, 1);
   ASSERT_TRUE(g.AddEdge(0, 1).ok());
   (void)g.Csr();
+  const uint64_t rebuilds = obs::ReadCounter("graph.delta.compactions");
+  const uint64_t misses = obs::ReadCounter("graph.csr_cache.misses");
+  const uint64_t hits = obs::ReadCounter("graph.csr_cache.hits");
   ASSERT_TRUE(g.AddEdge(1, 2).ok());
   ASSERT_TRUE(g.AddEdge(3, 4).ok());
   ASSERT_TRUE(g.RemoveEdge(0, 1).ok());
-  // Three mutations on an undirected graph = six pending arc edits.
-  EXPECT_EQ(g.csr_pending_delta(), 6u);
-  DeltaCsrView view = g.AdjacencyDeltaView();
-  ASSERT_NE(view.delta, nullptr);
-  EXPECT_TRUE(view.delta->RowDirty(1));
-  EXPECT_FALSE(view.delta->RowDirty(5));
-  // Read-compaction folds everything and the delta drains.
+  ASSERT_TRUE(g.AddEdge(5, 6).ok());
+  // Mutations build nothing: four of them cost one rebuild at the read.
+  EXPECT_EQ(obs::ReadCounter("graph.delta.compactions"), rebuilds);
   const CsrGraph& csr = g.Csr();
-  EXPECT_EQ(g.csr_pending_delta(), 0u);
+  EXPECT_EQ(obs::ReadCounter("graph.delta.compactions") - rebuilds, 1u);
+  EXPECT_EQ(obs::ReadCounter("graph.csr_cache.hits"), hits);
+  // A second read finds the snapshot current.
+  EXPECT_EQ(&g.Csr(), &csr);
+  EXPECT_EQ(obs::ReadCounter("graph.csr_cache.hits") - hits, 1u);
+  EXPECT_EQ(obs::ReadCounter("graph.delta.compactions") - rebuilds, 1u);
+  EXPECT_EQ(obs::ReadCounter("graph.csr_cache.misses"), misses);
   EXPECT_EQ(csr.adjacency().nnz(), 2 * g.num_edges());
   ExpectSameCsr(csr.adjacency(), RebuildFromScratch(g).Csr().adjacency());
 }
 
-TEST(DeltaCsr, InsertThenDeleteCancelsToEmptyDelta) {
-  Graph g(4, 1);
+// A mutation leaves the snapshot alive: a reference hoisted before it
+// keeps reading the old structure until the next Csr() replaces it
+// (under ASAN a freed snapshot would show as a use after free).
+TEST(CsrSnapshot, HoistedReferenceReadsOldSnapshotUntilNextRead) {
+  Graph g(5, 1);
   ASSERT_TRUE(g.AddEdge(0, 1).ok());
-  (void)g.Csr();
+  const CsrGraph& hoisted = g.Csr();
+  const size_t old_nnz = hoisted.adjacency().nnz();
   ASSERT_TRUE(g.AddEdge(2, 3).ok());
-  ASSERT_TRUE(g.RemoveEdge(2, 3).ok());  // cancels the pending insert
-  EXPECT_EQ(g.csr_pending_delta(), 0u);
   ASSERT_TRUE(g.RemoveEdge(0, 1).ok());
-  ASSERT_TRUE(g.AddEdge(0, 1).ok());  // cancels the pending remove
-  EXPECT_EQ(g.csr_pending_delta(), 0u);
-  EXPECT_EQ(g.AdjacencyDeltaView().delta, nullptr);
+  EXPECT_EQ(hoisted.adjacency().nnz(), old_nnz);
+  EXPECT_EQ(hoisted.adjacency().col_indices,
+            (std::vector<uint32_t>{1, 0}));
+  EXPECT_EQ(hoisted.epoch(), 1u);
+  const CsrGraph& current = g.Csr();
+  EXPECT_EQ(current.epoch(), g.mutation_epoch());
+  EXPECT_EQ(current.adjacency().col_indices,
+            (std::vector<uint32_t>{3, 2}));
 }
 
-TEST(DeltaCsr, ThresholdTriggersAutoCompaction) {
-  obs::ResetMetricsForTest();
-  Graph g(64, 1, /*directed=*/true);
-  g.set_csr_compaction_threshold(4);
-  (void)g.Csr();
-  for (VertexId v = 1; v < 8; ++v) ASSERT_TRUE(g.AddEdge(0, v).ok());
-  // Threshold 4 means pending can never exceed 4 after a mutation.
-  EXPECT_LE(g.csr_pending_delta(), 4u);
-  obs::StatsSnapshot snap = obs::Snapshot();
-  uint64_t compactions = 0;
-  for (const auto& c : snap.counters)
-    if (c.name == "graph.delta.compactions") compactions = c.value;
-  EXPECT_GE(compactions, 1u);
-}
-
-TEST(DeltaCsr, DirectedTransposeViewTracksInDelta) {
+TEST(CsrSnapshot, DirectedTransposeMatchesRebuild) {
   Graph g(5, 1, /*directed=*/true);
   ASSERT_TRUE(g.AddEdge(0, 1).ok());
+  ASSERT_TRUE(g.AddEdge(4, 1).ok());
   (void)g.Csr();
-  g.set_csr_compaction_threshold(1u << 20);
   ASSERT_TRUE(g.AddEdge(2, 3).ok());
-  DeltaCsrView tr = g.TransposeDeltaView();
-  ASSERT_NE(tr.delta, nullptr);
-  EXPECT_TRUE(tr.delta->RowDirty(3));   // arc 2->3 dirties transpose row 3
-  EXPECT_FALSE(tr.delta->RowDirty(2));
+  ASSERT_TRUE(g.AddEdge(3, 2).ok());
+  ASSERT_TRUE(g.RemoveEdge(4, 1).ok());
   const CsrGraph& csr = g.Csr();
-  ExpectSameCsr(csr.transpose(), RebuildFromScratch(g).Csr().transpose());
+  const Graph fresh = RebuildFromScratch(g);
+  ExpectSameCsr(csr.transpose(), fresh.Csr().transpose());
+  ExpectSameCsr(csr.adjacency(), fresh.Csr().adjacency());
+  ExpectSameCsr(csr.normalized(), fresh.Csr().normalized());
+  EXPECT_EQ(csr.transpose().col_indices,
+            (std::vector<uint32_t>{0, 3, 2}));  // in-neighbors of 1, 2, 3
 }
 
-TEST(DeltaCsr, RemoveEdgeStatuses) {
+TEST(CsrSnapshot, InsertThenDeleteStillReadsAtCurrentEpoch) {
+  Graph g(4, 1);
+  ASSERT_TRUE(g.AddEdge(0, 1).ok());
+  const CsrMatrix before = g.Csr().adjacency();
+  ASSERT_TRUE(g.AddEdge(2, 3).ok());
+  ASSERT_TRUE(g.RemoveEdge(2, 3).ok());  // the structure is back
+  const CsrGraph& csr = g.Csr();
+  EXPECT_EQ(csr.epoch(), g.mutation_epoch());
+  csr.CheckFreshFor(g);
+  ExpectSameCsr(csr.adjacency(), before);
+}
+
+TEST(CsrSnapshot, RemoveEdgeStatuses) {
   Graph g(3, 1);
   ASSERT_TRUE(g.AddEdge(0, 1).ok());
   EXPECT_EQ(g.RemoveEdge(0, 7).code(), StatusCode::kOutOfRange);
@@ -302,7 +276,7 @@ TEST(DeltaCsr, RemoveEdgeStatuses) {
   EXPECT_EQ(g.RemoveEdge(0, 1).code(), StatusCode::kNotFound);
 }
 
-TEST(DeltaCsr, MutationEpochCountsEverySuccessfulMutation) {
+TEST(CsrSnapshot, MutationEpochCountsEverySuccessfulMutation) {
   Graph g(4, 1);
   EXPECT_EQ(g.mutation_epoch(), 0u);
   ASSERT_TRUE(g.AddEdge(0, 1).ok());
@@ -318,7 +292,7 @@ TEST(DeltaCsr, MutationEpochCountsEverySuccessfulMutation) {
 // A CSR reference hoisted across a mutation is stale; the freshness
 // check names it in debug builds (regression for the trainer paths,
 // which CheckFreshFor their hoisted snapshots).
-TEST(DeltaCsrDeathTest, StaleHoistedViewIsDetected) {
+TEST(CsrSnapshotDeathTest, StaleHoistedViewIsDetected) {
   Graph g(4, 1);
   ASSERT_TRUE(g.AddEdge(0, 1).ok());
   const CsrGraph& hoisted = g.Csr();
@@ -327,61 +301,18 @@ TEST(DeltaCsrDeathTest, StaleHoistedViewIsDetected) {
   EXPECT_DEBUG_DEATH(hoisted.CheckFreshFor(g), "epoch");
 }
 
-TEST(DeltaCsr, CopiedGraphCarriesPendingEditsIndependently) {
+TEST(CsrSnapshot, CopiedGraphCarriesPendingEditsIndependently) {
   Graph g(6, 1);
-  g.set_csr_compaction_threshold(1u << 20);
   ASSERT_TRUE(g.AddEdge(0, 1).ok());
   (void)g.Csr();
   ASSERT_TRUE(g.AddEdge(2, 3).ok());
-  Graph copy = g;  // shares the immutable base, copies the delta
+  Graph copy = g;  // shares the stale snapshot until either one reads
   ASSERT_TRUE(copy.AddEdge(4, 5).ok());
   EXPECT_FALSE(g.HasEdge(4, 5));
   ExpectSameCsr(copy.Csr().adjacency(),
                 RebuildFromScratch(copy).Csr().adjacency());
   ExpectSameCsr(g.Csr().adjacency(),
                 RebuildFromScratch(g).Csr().adjacency());
-}
-
-// ---------------------------------------------------------------------------
-// SpMMDelta unit coverage.
-
-TEST(SpMMDeltaTest, NullAndEmptyDeltaMatchPlainSpMM) {
-  Rng rng(23);
-  Graph g = RandomLabelledGraph(&rng, 12, false);
-  const CsrMatrix& a = g.Csr().adjacency();
-  Matrix b = Matrix::RandomUniform(g.num_vertices(), 5, -1.0, 1.0, &rng);
-  ExpectBitEqual(SpMMDelta(a, nullptr, b), SpMM(a, b));
-  CsrDeltaRows empty;
-  empty.Resize(a.rows);
-  ExpectBitEqual(SpMMDelta(a, &empty, b), SpMM(a, b));
-}
-
-TEST(SpMMDeltaTest, MatchesMergedMatrixBitForBit) {
-  Rng rng(29);
-  Graph g = RandomLabelledGraph(&rng, 16, true);
-  g.set_csr_compaction_threshold(1u << 20);
-  (void)g.Csr();
-  UpdateLog log = GenerateUpdateLog(g, 25, 0.3, &rng);
-  GELC_CHECK_OK(ReplayUpdateLog(log, &g));
-  DeltaCsrView view = g.AdjacencyDeltaView();
-  ASSERT_NE(view.delta, nullptr);
-  CsrMatrix merged = MergeDeltaRows(*view.base, *view.delta);
-  Matrix b = Matrix::RandomUniform(g.num_vertices(), 7, -1.0, 1.0, &rng);
-  ExpectBitEqual(SpMMDelta(*view.base, view.delta, b), SpMM(merged, b));
-}
-
-TEST(SpMMDeltaTest, MergeDeltaRowAppliesAddsAndRemoves) {
-  Graph g(5, 1);
-  g.set_csr_compaction_threshold(1u << 20);
-  ASSERT_TRUE(g.AddEdge(1, 2).ok());
-  ASSERT_TRUE(g.AddEdge(1, 4).ok());
-  (void)g.Csr();
-  ASSERT_TRUE(g.RemoveEdge(1, 2).ok());
-  ASSERT_TRUE(g.AddEdge(1, 3).ok());
-  DeltaCsrView view = g.AdjacencyDeltaView();
-  std::vector<uint32_t> row;
-  MergeDeltaRow(*view.base, *view.delta, 1, &row);
-  EXPECT_EQ(row, (std::vector<uint32_t>{3, 4}));
 }
 
 // ---------------------------------------------------------------------------

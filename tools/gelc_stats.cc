@@ -69,8 +69,8 @@ void PrintWorkloadList(std::FILE* out) {
   std::fprintf(out, "  spmm    SpMM + dense MatMul on a sparse G(n,p)\n");
   std::fprintf(out, "  train   8-epoch node-classifier training run\n");
   std::fprintf(out,
-               "  stream  update-log replay with delta-CSR reads and\n"
-               "          incremental color refinement\n");
+               "  stream  update-log replay with CSR rebuild-on-read\n"
+               "          SpMM reads and incremental color refinement\n");
   std::fprintf(out, "  all     every workload above, in this order\n");
 }
 
@@ -100,15 +100,15 @@ void RunSpmmWorkload() {
 }
 
 // Streaming: replay a seeded update log over a G(n,p) base, keeping the
-// incremental refiner current and running a delta-merged SpMM read every
-// other batch. Exercises the stream.*, graph.delta.*, spmm.delta.* and
-// wl.cr.inc.* series; all of them are thread-count invariant, so this
-// workload sits inside the `--deterministic` byte-identity gate.
+// incremental refiner current and running an SpMM read over the rebuilt
+// g.Csr() every other batch. Exercises the stream.*, graph.csr_cache.*,
+// graph.delta.compactions and wl.cr.inc.* series; all of them are
+// thread-count invariant, so this workload sits inside the
+// `--deterministic` byte-identity gate.
 void RunStreamWorkload() {
   Rng rng(23);
   Graph g = RandomGnp(300, 0.02, &rng);
-  (void)g.Csr();  // warm the base; mutations take the delta path
-  g.set_csr_compaction_threshold(128);
+  (void)g.Csr();  // the first build; each read after a batch rebuilds
   IncrementalColorRefiner refiner(&g);
   Matrix f = Matrix::RandomUniform(300, 16, -1.0, 1.0, &rng);
   UpdateLog log = GenerateUpdateLog(g, 600, 0.4, &rng);
@@ -119,8 +119,7 @@ void RunStreamWorkload() {
       ReplayUpdateLog(log, &g, options, [&](const ReplayBatch& batch) {
         refiner.Update(batch.touched);
         if (++batches % 2 == 0) {
-          DeltaCsrView view = g.AdjacencyDeltaView();
-          Matrix out = SpMMDelta(*view.base, view.delta, f);
+          Matrix out = SpMM(g.Csr().adjacency(), f);
           (void)out;
         }
         return Status::OK();

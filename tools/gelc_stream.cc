@@ -1,5 +1,6 @@
-// gelc_stream: seeded streaming-replay driver over the delta-CSR and
-// incremental-refinement layers (DESIGN.md §12).
+// gelc_stream: seeded streaming-replay driver over the mutable graph,
+// its rebuilt-on-read CSR snapshot and incremental refinement
+// (DESIGN.md §12).
 //
 //   gelc_stream [--n N] [--p P] [--ops K] [--batch B] [--delete-frac F]
 //               [--seed S] [--read-every R] [--verify]
@@ -7,16 +8,17 @@
 // Builds a random G(n, p) base graph, generates a seeded update log of K
 // edge inserts/deletes, and replays it in batches of B while keeping an
 // IncrementalColorRefiner up to date with each batch's touched set.
-// Every R-th batch runs an SpMMDelta read over the uncompacted delta
-// view, the way a streaming GNN layer would. `--verify` additionally
-// rebuilds the graph from scratch after every batch and checks the
-// delta-SpMM output and refinement partition against it (slow;
-// tests/stream_test.cc runs the same differential at scale).
+// Every R-th batch runs an SpMM read over g.Csr(), which rebuilds the
+// snapshot the batches made stale, the way a streaming GNN layer would.
+// `--verify` additionally rebuilds the graph from scratch after every
+// batch and checks all three CSR operators, the SpMM output and the
+// refinement partition against it (slow; tests/stream_test.cc runs the
+// same differential at scale).
 //
 // Everything is seeded and all printed quantities live on the
 // deterministic plane, so output is byte-identical across runs and
-// thread counts — scripts/check.sh leans on the same property via the
-// `stream` workload of gelc_stats.
+// thread counts; scripts/check.sh compares the --verify output at one
+// and four threads.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -25,6 +27,7 @@
 #include <vector>
 
 #include "base/rng.h"
+#include "graph/csr.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/update_log.h"
@@ -68,6 +71,19 @@ double MatrixSum(const Matrix& m) {
   return s;
 }
 
+bool SameCsr(const CsrMatrix& a, const CsrMatrix& b) {
+  return a.rows == b.rows && a.cols == b.cols &&
+         a.row_offsets == b.row_offsets && a.col_indices == b.col_indices &&
+         a.values == b.values;
+}
+
+// Bitwise equality, so a NaN or a signed zero cannot hide a divergence.
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.data().size() * sizeof(double)) == 0;
+}
+
 uint64_t ReadCounterOrZero(const char* name) {
   return obs::ReadCounter(name);
 }
@@ -86,7 +102,7 @@ int RunStream(const StreamConfig& cfg) {
   std::printf("log: ops=%zu delete_frac=%g batch=%zu\n", log.ops.size(),
               cfg.delete_frac, cfg.batch);
 
-  (void)g.Csr();  // warm the base snapshot; replay takes the delta path
+  (void)g.Csr();  // the first build; every read after a batch rebuilds
   IncrementalColorRefiner refiner(&g);
   Matrix features =
       Matrix::RandomUniform(g.num_vertices(), 8, -1.0, 1.0, &rng);
@@ -101,8 +117,7 @@ int RunStream(const StreamConfig& cfg) {
     ++batches;
     refiner.Update(batch.touched);
     if (cfg.read_every != 0 && batches % cfg.read_every == 0) {
-      DeltaCsrView view = g.AdjacencyDeltaView();
-      Matrix out = SpMMDelta(*view.base, view.delta, features);
+      Matrix out = SpMM(g.Csr().adjacency(), features);
       read_checksum += MatrixSum(out);
       ++reads;
     }
@@ -115,19 +130,23 @@ int RunStream(const StreamConfig& cfg) {
           GELC_CHECK_OK(fresh.AddEdge(static_cast<VertexId>(u), v));
         }
       }
-      DeltaCsrView view = g.AdjacencyDeltaView();
-      Matrix incremental = SpMMDelta(*view.base, view.delta, features);
-      Matrix scratch = SpMM(fresh.Csr().adjacency(), features);
-      for (size_t i = 0; i < incremental.rows(); ++i) {
-        for (size_t j = 0; j < incremental.cols(); ++j) {
-          if (incremental.At(i, j) != scratch.At(i, j)) {
-            std::fprintf(stderr,
-                         "gelc_stream: verify FAILED at batch %zu "
-                         "(SpMM row %zu col %zu)\n",
-                         batches, i, j);
-            return Status::Internal("delta/scratch SpMM divergence");
-          }
-        }
+      const CsrGraph& csr = g.Csr();
+      const CsrGraph& want = fresh.Csr();
+      const char* diverged = nullptr;
+      if (!SameCsr(csr.adjacency(), want.adjacency())) {
+        diverged = "adjacency";
+      } else if (!SameCsr(csr.transpose(), want.transpose())) {
+        diverged = "transpose";
+      } else if (!SameCsr(csr.normalized(), want.normalized())) {
+        diverged = "normalized";
+      } else if (!SameBits(SpMM(csr.adjacency(), features),
+                           SpMM(want.adjacency(), features))) {
+        diverged = "SpMM";
+      }
+      if (diverged != nullptr) {
+        std::fprintf(stderr, "gelc_stream: verify FAILED at batch %zu (%s)\n",
+                     batches, diverged);
+        return Status::Internal("mutated/scratch CSR divergence");
       }
       CrColoring cr = RunColorRefinement({&fresh});
       if (PartitionShape(refiner.colors()) !=
@@ -146,10 +165,9 @@ int RunStream(const StreamConfig& cfg) {
     return 1;
   }
 
-  std::printf("final: arcs=%zu edges=%zu epoch=%llu pending_delta=%zu\n",
-              g.num_arcs(), g.num_edges(),
-              static_cast<unsigned long long>(g.mutation_epoch()),
-              g.csr_pending_delta());
+  std::printf("final: arcs=%zu edges=%zu epoch=%llu\n", g.num_arcs(),
+              g.num_edges(),
+              static_cast<unsigned long long>(g.mutation_epoch()));
   std::printf("refine: rounds=%zu classes=%zu\n", refiner.rounds(),
               refiner.partition_size());
   std::printf("reads: count=%zu checksum=%.17g\n", reads, read_checksum);
