@@ -4,8 +4,9 @@
 // tape per GraphBatch minibatch. Batched args are {batch_size, n,
 // threads}; the per-graph baseline sweeps {n, threads}. The two paths
 // produce bit-identical parameters (tests/batch_test.cc pins it); these
-// benches only time the epochs. scripts/run_benches.sh records the sweep
-// and the batch.* registry deltas into BENCH_p9.json.
+// benches only time the epochs, in wall time (UseRealTime) so the
+// 4-thread rows count the pool's work. scripts/run_benches.sh records the
+// sweep and the batch.* registry deltas into BENCH_p9.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -36,8 +37,8 @@ constexpr size_t kDatasetSize = 64;
 // of the live transient and the converged steady state. Pre-training
 // past convergence pins the regime: the timed iterations measure the
 // steady-state epoch, which is where a long e10-style run spends its
-// time. (Fully live epoch-0 gradients narrow the batched advantage to
-// ~1.6x at n = 8; the steady state shows ~2x.)
+// time. (Fully live epoch-0 gradients narrow the batched advantage at
+// n = 8; BENCH_p9.json records the steady state.)
 constexpr int kSteadyStateWarmupEpochs = 800;
 
 // The bench_e10_erm molecule recipe (graph/generators.cc
@@ -135,12 +136,14 @@ class BatchCounters {
 void PerGraphSweep(benchmark::internal::Benchmark* b) {
   for (int64_t n : {8, 16, 64})
     for (int64_t threads : {1, 4}) b->Args({n, threads});
+  b->UseRealTime();
 }
 
 void BatchedSweep(benchmark::internal::Benchmark* b) {
   for (int64_t batch : {1, 8, 32})
     for (int64_t n : {8, 16, 64})
       for (int64_t threads : {1, 4}) b->Args({batch, n, threads});
+  b->UseRealTime();
 }
 
 // The historical epoch: one tape (and one set of kernel launches) per

@@ -11,7 +11,7 @@
 #   3. full ctest          — the tier-1 suite, including the gelc_lint /
 #                            gelc_lint_wholeprogram gates, thread-variant
 #                            (GELC_NUM_THREADS=1/4) runs, and the
-#                            GELC_SIMD=0/fast simd_test variants
+#                            forced-scalar simd_test variant
 #   4. two-plane gate      — (a) deterministic-plane snapshots must be
 #                            byte-identical at GELC_NUM_THREADS=1 vs =4
 #                            with GELC_TIMINGS=1 (gelc_stats
@@ -27,7 +27,13 @@
 #   5. forced-scalar ctest — the whole suite again with GELC_SIMD=0
 #                            exported, so every differential/bit-identity
 #                            test also certifies the scalar fallback tier
-#                            a binary lands on when cpuid lacks AVX2/FMA
+#                            a binary lands on when cpuid lacks AVX2/FMA;
+#                            then the tiers end to end: the stdout of
+#                            every bench_e* (but bench_e12, whose last
+#                            column is wall-clock time) and gelc_stream's
+#                            final:/refine:/reads: lines must be
+#                            byte-identical under GELC_SIMD=0 and the
+#                            default tier
 #   6. sanitizer ctest     — ASAN+UBSAN build, full suite again (this is
 #                            the run that chases the SIMD kernels' raw
 #                            pointer arithmetic, vector tails, and the
@@ -125,8 +131,21 @@ cmp "$tmpdir/verify_t1.txt" "$tmpdir/verify_t4.txt" || {
   exit 1
 }
 
-echo "== [5/7] ctest with GELC_SIMD=0 (forced scalar tier) =="
+echo "== [5/7] ctest with GELC_SIMD=0 (forced scalar tier) + cross-tier cmp =="
 (cd build && GELC_SIMD=0 ctest --output-on-failure -j)
+tier_outputs() {
+  for bin in build/bench/bench_e*; do
+    case "$bin" in */bench_e12_*) continue ;; esac
+    "$bin" 2>>"$tmpdir/tier.err"
+  done
+  ./build/tools/gelc_stream | grep -E '^(final|refine|reads):'
+}
+GELC_SIMD=0 tier_outputs >"$tmpdir/tier_scalar.txt"
+tier_outputs >"$tmpdir/tier_default.txt"
+cmp "$tmpdir/tier_scalar.txt" "$tmpdir/tier_default.txt" || {
+  echo "check.sh: results differ between GELC_SIMD=0 and the default tier" >&2
+  exit 1
+}
 
 if [[ "$fast" == "1" ]]; then
   echo "== [6/7] SKIPPED (--fast): ASAN/UBSAN ctest =="

@@ -15,7 +15,7 @@ Tape::Tape() { TuneAllocForTensorChurn(); }
 
 namespace {
 
-// Segment offsets contract shared by the five segment-aware ops: k+1
+// Segment offsets contract shared by the segment-aware ops: k+1
 // non-decreasing entries covering [0, rows).
 void CheckSegmentOffsets(size_t rows, const std::vector<size_t>& offsets) {
   GELC_CHECK(!offsets.empty());
@@ -56,15 +56,6 @@ ValueId Tape::Add(ValueId a, ValueId b) {
   n.a = a;
   n.b = b;
   n.value = nodes_[a].value + nodes_[b].value;
-  return Push(std::move(n));
-}
-
-ValueId Tape::Sub(ValueId a, ValueId b) {
-  Node n;
-  n.op = Op::kSub;
-  n.a = a;
-  n.b = b;
-  n.value = nodes_[a].value - nodes_[b].value;
   return Push(std::move(n));
 }
 
@@ -143,47 +134,11 @@ ValueId Tape::ColSums(ValueId a) {
   return Push(std::move(n));
 }
 
-ValueId Tape::ColMax(ValueId a) {
-  GELC_CHECK(nodes_[a].value.rows() > 0);
-  Node n;
-  n.op = Op::kColMax;
-  n.a = a;
-  n.value = nodes_[a].value.ColMax();
-  // Record argmax row per column for the backward pass.
-  const Matrix& in = nodes_[a].value;
-  n.indices.resize(in.cols(), 0);
-  for (size_t j = 0; j < in.cols(); ++j) {
-    for (size_t i = 1; i < in.rows(); ++i)
-      if (in.At(i, j) > in.At(n.indices[j], j)) n.indices[j] = i;
-  }
-  return Push(std::move(n));
-}
-
 ValueId Tape::SegmentSum(ValueId a, std::vector<size_t> offsets) {
   Node n;
   n.op = Op::kSegmentSum;
   n.a = a;
   n.value = gelc::SegmentSum(nodes_[a].value, offsets);
-  n.indices = std::move(offsets);
-  return Push(std::move(n));
-}
-
-ValueId Tape::SegmentMean(ValueId a, std::vector<size_t> offsets) {
-  Node n;
-  n.op = Op::kSegmentMean;
-  n.a = a;
-  n.value = gelc::SegmentMean(nodes_[a].value, offsets);
-  n.indices = std::move(offsets);
-  return Push(std::move(n));
-}
-
-ValueId Tape::SegmentMax(ValueId a, std::vector<size_t> offsets) {
-  Node n;
-  n.op = Op::kSegmentMax;
-  n.a = a;
-  // The kernel records the first-argmax row per (segment, column) —
-  // f.rows() sentinel for empty segments — which Backward routes by.
-  n.value = gelc::SegmentMax(nodes_[a].value, offsets, &n.indices2);
   n.indices = std::move(offsets);
   return Push(std::move(n));
 }
@@ -301,7 +256,6 @@ void Tape::Backward(ValueId root) {
         live_[n.b] = 1;  // the sparse operand is a constant
         break;
       case Op::kAdd:
-      case Op::kSub:
       case Op::kMatMul:
       case Op::kHadamard:
       case Op::kAddRowBroadcast:
@@ -324,10 +278,6 @@ void Tape::Backward(ValueId root) {
       case Op::kAdd:
         nodes_[n.a].grad += g;
         nodes_[n.b].grad += g;
-        break;
-      case Op::kSub:
-        nodes_[n.a].grad += g;
-        nodes_[n.b].grad -= g;
         break;
       case Op::kMatMul:
         // The two gradient products go through a scratch buffer reused
@@ -383,41 +333,12 @@ void Tape::Backward(ValueId root) {
           for (size_t j = 0; j < ga.cols(); ++j) ga.At(i, j) += g.At(0, j);
         break;
       }
-      case Op::kColMax: {
-        Matrix& ga = nodes_[n.a].grad;
-        for (size_t j = 0; j < ga.cols(); ++j)
-          ga.At(n.indices[j], j) += g.At(0, j);
-        break;
-      }
       case Op::kSegmentSum: {
         Matrix& ga = nodes_[n.a].grad;
         for (size_t s = 0; s + 1 < n.indices.size(); ++s)
           for (size_t i = n.indices[s]; i < n.indices[s + 1]; ++i)
             for (size_t j = 0; j < ga.cols(); ++j)
               ga.At(i, j) += g.At(s, j);
-        break;
-      }
-      case Op::kSegmentMean: {
-        Matrix& ga = nodes_[n.a].grad;
-        for (size_t s = 0; s + 1 < n.indices.size(); ++s) {
-          size_t count = n.indices[s + 1] - n.indices[s];
-          if (count == 0) continue;
-          double inv = 1.0 / static_cast<double>(count);
-          for (size_t i = n.indices[s]; i < n.indices[s + 1]; ++i)
-            for (size_t j = 0; j < ga.cols(); ++j)
-              ga.At(i, j) += g.At(s, j) * inv;
-        }
-        break;
-      }
-      case Op::kSegmentMax: {
-        Matrix& ga = nodes_[n.a].grad;
-        size_t cols = ga.cols();
-        for (size_t s = 0; s + 1 < n.indices.size(); ++s) {
-          for (size_t j = 0; j < cols; ++j) {
-            size_t row = n.indices2[s * cols + j];
-            if (row < ga.rows()) ga.At(row, j) += g.At(s, j);
-          }
-        }
         break;
       }
       case Op::kMatMulSegments: {

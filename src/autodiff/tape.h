@@ -54,7 +54,6 @@ class Tape {
   ValueId Param(Parameter* p);
 
   ValueId Add(ValueId a, ValueId b);
-  ValueId Sub(ValueId a, ValueId b);
   ValueId MatMul(ValueId a, ValueId b);
   /// Sparse-times-dense product csr * b via SpMM; the sparse operand is a
   /// constant (no gradient flows into it), so message passing never
@@ -73,20 +72,12 @@ class Tape {
   ValueId ConcatCols(ValueId a, ValueId b);
   /// Column sums: n x d -> 1 x d.
   ValueId ColSums(ValueId a);
-  /// Column-wise max with subgradient routed to (first) argmax rows.
-  ValueId ColMax(ValueId a);
   /// Per-segment column sums (batched readout): rows
   /// [offsets[s], offsets[s+1]) of `a` reduce to output row s. `offsets`
   /// must be non-decreasing with offsets.front() == 0 and offsets.back()
   /// == a's row count; empty segments yield zero rows. Row s of the
   /// result carries the same bits as ColSums of that block alone.
   ValueId SegmentSum(ValueId a, std::vector<size_t> offsets);
-  /// Per-segment column means; empty segments yield zero rows.
-  ValueId SegmentMean(ValueId a, std::vector<size_t> offsets);
-  /// Per-segment column max with subgradient routed to the (first)
-  /// argmax row of each segment; empty segments yield zero rows and
-  /// receive no gradient.
-  ValueId SegmentMax(ValueId a, std::vector<size_t> offsets);
   /// Matrix product whose forward value is exactly MatMul(a, b), but
   /// whose backward pass accumulates b's gradient one row segment of `a`
   /// at a time: each segment's partial product aᵀ_s · g_s is formed from
@@ -122,7 +113,6 @@ class Tape {
     kInput,
     kParam,
     kAdd,
-    kSub,
     kMatMul,
     kSparseMatMul,
     kHadamard,
@@ -131,10 +121,7 @@ class Tape {
     kAddRowBroadcast,
     kConcatCols,
     kColSums,
-    kColMax,
     kSegmentSum,
-    kSegmentMean,
-    kSegmentMax,
     kMatMulSegments,
     kAddRowBroadcastSegments,
     kGatherRows,
@@ -151,9 +138,8 @@ class Tape {
     // Op-specific payloads.
     double scalar = 0.0;
     Activation act = Activation::kIdentity;
-    std::vector<size_t> indices;   // labels / gather rows / segment offsets
-    std::vector<size_t> indices2;  // kSegmentMax per-(segment,col) argmax
-    Matrix aux;                    // cached softmax / target
+    std::vector<size_t> indices;  // labels / gather rows / segment offsets
+    Matrix aux;                   // cached softmax / target
     Parameter* param = nullptr;
     const CsrMatrix* csr = nullptr;    // kSparseMatMul forward operand
     const CsrMatrix* csr_t = nullptr;  // its transpose (backward operand)

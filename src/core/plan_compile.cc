@@ -112,8 +112,7 @@ Status NotLowerable(const ExprPtr& e, const std::string& why) {
 
 class Lowering {
  public:
-  Lowering(const PlanOptions& options, CompileStats* stats)
-      : options_(options), stats_(stats) {}
+  explicit Lowering(CompileStats* stats) : stats_(stats) {}
 
   // Lowers `e`, whose free variables must be empty or exactly
   // {VarBit(var)}; returns the slot holding its value (per-vertex table
@@ -331,39 +330,6 @@ class Lowering {
       return NotLowerable(e, "aggregated value over a pair of variables");
     }
 
-    // Opt-in reorder: agg(linear_nobias(x)) -> linear(agg(x)) when the
-    // aggregation distributes over the map (sum/mean, zero bias) and the
-    // input side is narrower. Reassociates floating point, hence gated.
-    if (options_.reassociate && gather == PlanGather::kNeighbor &&
-        (theta.kind == ThetaAgg::Kind::kSum ||
-         theta.kind == ThetaAgg::Kind::kMean) &&
-        value->kind() == Expr::Kind::kApply &&
-        value->fn()->kind == OmegaFn::Kind::kLinear &&
-        value->children().size() == 1 && value->fn()->bias->IsZero() &&
-        value->fn()->total_in_dim() < value->fn()->out_dim &&
-        value->children()[0]->free_vars() == VarBit(b)) {
-      GELC_ASSIGN_OR_RETURN(uint32_t x, Lower(value->children()[0], b));
-      PlanOp agg_op;
-      agg_op.kind = PlanOpKind::kNeighborAgg;
-      agg_op.type = {true,
-                     static_cast<uint32_t>(value->fn()->total_in_dim())};
-      agg_op.inputs = {x};
-      agg_op.agg = theta.kind;
-      agg_op.csr = csr;
-      agg_op.gather = PlanGather::kNeighbor;
-      GELC_ASSIGN_OR_RETURN(uint32_t agg_slot, Emit(std::move(agg_op)));
-      PlanOp lin;
-      lin.kind = PlanOpKind::kFusedLayer;
-      lin.type = {true, static_cast<uint32_t>(value->fn()->out_dim)};
-      PlanLayerArg arg;
-      arg.input = agg_slot;
-      arg.w = value->fn()->weight;
-      lin.args = {arg};
-      lin.bias = value->fn()->bias;
-      ++stats_->reassociations;
-      return Emit(std::move(lin));
-    }
-
     GELC_ASSIGN_OR_RETURN(uint32_t s, Lower(value, value_var));
     PlanOp op;
     op.kind = PlanOpKind::kNeighborAgg;
@@ -397,7 +363,6 @@ class Lowering {
     return slot;
   }
 
-  PlanOptions options_;
   CompileStats* stats_;
   Plan plan_;
   std::map<std::pair<const Expr*, int>, uint32_t> memo_;
@@ -620,7 +585,7 @@ Result<PlanPtr> CompileToPlan(const ExprPtr& e, const PlanOptions& options,
   Var var = minimized->free_vars() == 0
                 ? 0
                 : VarSetList(minimized->free_vars())[0];
-  Lowering lowering(options, stats);
+  Lowering lowering(stats);
   GELC_ASSIGN_OR_RETURN(uint32_t result, lowering.Lower(minimized, var));
   Plan plan = lowering.Take(result);
   stats->ops_before_opt = plan.ops.size();
@@ -635,8 +600,6 @@ Result<PlanPtr> CompileToPlan(const ExprPtr& e, const PlanOptions& options,
 Result<PlanPtr> CompileToPlan(const ExprPtr& e) {
   return CompileToPlan(e, PlanOptions{}, nullptr);
 }
-
-PlanCache::PlanCache(PlanOptions options) : options_(options) {}
 
 Result<PlanPtr> PlanCache::GetOrCompile(const ExprPtr& e) {
   if (e == nullptr) return Status::InvalidArgument("null expression");
@@ -658,8 +621,7 @@ Result<PlanPtr> PlanCache::GetOrCompile(const ExprPtr& e) {
   }
   ++misses_;
   cache_misses->Increment();
-  GELC_ASSIGN_OR_RETURN(PlanPtr plan,
-                        CompileToPlan(minimized, options_, nullptr));
+  GELC_ASSIGN_OR_RETURN(PlanPtr plan, CompileToPlan(minimized));
   cache_[key].emplace_back(minimized, plan);
   ++entries_;
   return plan;

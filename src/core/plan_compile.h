@@ -19,9 +19,8 @@
 // fragment (pair tables, multi-variable binders, non-edge guards, opaque
 // guards) return Unimplemented and the caller falls back to
 // Evaluator::Eval. Whenever compilation succeeds, executing the plan is
-// bit-identical to the interpreter at any thread count — except under
-// PlanOptions::reassociate, which explicitly trades bit-identity for
-// fewer flops (see below).
+// bit-identical to the interpreter at any thread count, with or without
+// the rewrite passes: no rewrite reorders floating-point arithmetic.
 //
 // Fixed-weight GNNs run through this compiler: core/compile_gnn.h lowers
 // each model family to GEL (GCN straight to a plan) and executes the
@@ -45,16 +44,6 @@ struct PlanOptions {
   /// Run the rewrite passes. Off = straight lowering (still CSE'd), used
   /// by the golden tests to witness each rewrite's effect.
   bool optimize = true;
-  /// Reorder agg_sum/mean(linear_nobias(x)) into linear(agg(x)) when the
-  /// input dimension is smaller than the output dimension (aggregate in
-  /// the cheap dimension). Mathematically exact but floating-point
-  /// reassociating, so OFF by default to preserve the bit-identity
-  /// contract; results agree with the interpreter up to tolerance.
-  bool reassociate = false;
-
-  bool operator==(const PlanOptions& o) const {
-    return optimize == o.optimize && reassociate == o.reassociate;
-  }
 };
 
 /// What the compiler did, for tests and the gelc_plan CLI.
@@ -63,7 +52,6 @@ struct CompileStats {
   size_t ops_after_opt = 0;
   size_t cse_hits = 0;         // emissions deduplicated by value numbering
   size_t guard_pushdowns = 0;  // edge guards turned into CSR traversals
-  size_t reassociations = 0;   // aggregation/linear reorders (opt-in)
   size_t label_coalesces = 0;
   size_t activation_fusions = 0;
   size_t aggregate_absorptions = 0;
@@ -83,8 +71,6 @@ Result<PlanPtr> CompileToPlan(const ExprPtr& e);
 /// repo-wide mutex ban outside base/parallel and obs is deliberate).
 class PlanCache {
  public:
-  explicit PlanCache(PlanOptions options = {});
-
   /// Returns the cached plan for any expression structurally equal to
   /// `e` modulo binder renaming, compiling on first sight. Propagates
   /// Unimplemented for non-plannable expressions (not cached).
@@ -95,7 +81,6 @@ class PlanCache {
   size_t misses() const { return misses_; }
 
  private:
-  PlanOptions options_;
   // StructuralHash of the minimized expression -> bucket of
   // (minimized expression, plan); StructurallyEqual resolves collisions.
   std::unordered_map<uint64_t, std::vector<std::pair<ExprPtr, PlanPtr>>>

@@ -5,8 +5,8 @@
 // compiler lowers.
 //
 // Contract: ExecutePlan(CompileToPlan(e), g) is bit-identical to
-// Evaluator::Eval(e) at any thread count (tests/plan_test.cc), except
-// under PlanOptions::reassociate which is tolerance-equal by design.
+// Evaluator::Eval(e) at any thread count and SIMD tier
+// (tests/plan_test.cc).
 #ifndef GELC_CORE_PLAN_EXEC_H_
 #define GELC_CORE_PLAN_EXEC_H_
 

@@ -78,7 +78,12 @@ CsrGraph::CsrGraph(const Graph& g)
       return g.InNeighbors(v);
     });
   }
-  normalized_ = BuildNormalized(adjacency_);
+}
+
+const CsrMatrix& CsrGraph::normalized() const {
+  std::call_once(normalized_once_,
+                 [this] { normalized_ = BuildNormalized(adjacency_); });
+  return normalized_;
 }
 
 void CsrGraph::CheckFreshFor(const Graph& g) const {

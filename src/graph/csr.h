@@ -6,7 +6,8 @@
 //   transpose()   — Aᵀ, binary in-adjacency (the backward operator for
 //                   the SparseMatMul tape op)
 //   normalized()  — D̃^{-1/2} (A + I) D̃^{-1/2} with D̃ = out-degree + 1,
-//                   the GCN propagation operator, weighted
+//                   the GCN propagation operator, weighted; built on its
+//                   first read, since only GCN plans use it
 // For undirected graphs A is symmetric, so transpose() shares storage
 // with adjacency().
 //
@@ -20,6 +21,7 @@
 #define GELC_GRAPH_CSR_H_
 
 #include <cstdint>
+#include <mutex>
 
 #include "tensor/sparse.h"
 
@@ -41,8 +43,9 @@ class CsrGraph {
     return symmetric_ ? adjacency_ : transpose_;
   }
   /// GCN operator D̃^{-1/2} (A + I) D̃^{-1/2} (self-loops included, so no
-  /// row is zero; isolated vertices get the 1x1 identity block).
-  const CsrMatrix& normalized() const { return normalized_; }
+  /// row is zero; isolated vertices get the 1x1 identity block). Built
+  /// on the first call; safe to call from several threads at once.
+  const CsrMatrix& normalized() const;
 
   size_t num_vertices() const { return adjacency_.rows; }
 
@@ -58,7 +61,10 @@ class CsrGraph {
   uint64_t epoch_ = 0;
   CsrMatrix adjacency_;
   CsrMatrix transpose_;  // empty when symmetric_ (adjacency_ serves both)
-  CsrMatrix normalized_;
+  // Plan executions on several pool workers can read one snapshot at
+  // once, so the first normalized() call builds under a once_flag.
+  mutable std::once_flag normalized_once_;
+  mutable CsrMatrix normalized_;
 };
 
 }  // namespace gelc

@@ -74,12 +74,7 @@ void FusedLayerInto(size_t n, const std::vector<FusedLayerArg>& args,
     f.w_rows = a.w->rows();
     row_work += a.w->rows() * out_dim;
   }
-  // Size check includes the data vector: a moved-from Matrix keeps stale
-  // rows/cols over an empty buffer.
-  if (out->rows() != n || out->cols() != out_dim ||
-      out->data().size() != n * out_dim) {
-    *out = Matrix(n, out_dim);
-  }
+  if (out->rows() != n || out->cols() != out_dim) *out = Matrix(n, out_dim);
   if (bias != nullptr) GELC_CHECK(bias->cols() == out_dim);
   simd::FusedLayerSpec spec;
   spec.args = flat.data();
@@ -122,7 +117,7 @@ void FusedLayerInto(size_t n, const std::vector<FusedLayerArg>& args,
   }
   static obs::Counter* parallel = obs::GetCounter("fused.parallel_dispatch");
   parallel->Increment();
-  // Whole row blocks per shard keep the vector tiers on their 4-row tile.
+  // Whole row blocks per shard keep the AVX2 tier on its 4-row tile.
   const size_t block = simd::kFusedLayerRowBlock;
   const size_t grain =
       (std::max<size_t>(1, kFusedShardWork / row_work) + block - 1) / block *
@@ -136,10 +131,7 @@ void NeighborAggregateInto(const CsrMatrix& csr, const Matrix& values,
   GELC_CHECK(out != nullptr);
   const size_t n = csr.rows;
   const size_t d_out = AggOutDim(agg, values.cols());
-  if (out->rows() != n || out->cols() != d_out ||
-      out->data().size() != n * d_out) {
-    *out = Matrix(n, d_out);
-  }
+  if (out->rows() != n || out->cols() != d_out) *out = Matrix(n, d_out);
   const simd::LayerArg a =
       AggregatedArg(csr, values, agg, broadcast, gather_source);
   double* odata = out->mutable_data().data();
@@ -167,10 +159,7 @@ void FusedGinCombineInto(const CsrMatrix& csr, const Matrix& values, double c,
   GELC_CHECK(csr.rows == values.rows() && csr.cols == values.rows());
   const size_t n = csr.rows;
   const size_t d = values.cols();
-  if (out->rows() != n || out->cols() != d ||
-      out->data().size() != n * d) {
-    *out = Matrix(n, d);
-  }
+  if (out->rows() != n || out->cols() != d) *out = Matrix(n, d);
   const double* vdata = values.data().data();
   double* odata = out->mutable_data().data();
   auto row_range = [&csr, vdata, odata, c, d](size_t row_begin,
@@ -205,10 +194,7 @@ void PoolRowsInto(const Matrix& values, FusedAgg agg, size_t count,
   GELC_CHECK(out != nullptr && out != &values);
   const size_t d = values.cols();
   const size_t d_out = AggOutDim(agg, d);
-  if (out->rows() != 1 || out->cols() != d_out ||
-      out->data().size() != d_out) {
-    *out = Matrix(1, d_out);
-  }
+  if (out->rows() != 1 || out->cols() != d_out) *out = Matrix(1, d_out);
   double* acc = out->mutable_data().data();
   const double* vdata = values.data().data();
   switch (agg) {

@@ -17,11 +17,12 @@ namespace {
 // GNN-layer products lose more to pool fan-out than they gain. The
 // crossover moved when the vector tier landed: fan-out cost is fixed
 // (wake + shard + join) while the AVX2 kernel retires ~4-6x the madds
-// per cycle of the scalar one (BENCH_p7, 256-square single-thread:
-// ~1.97 vs ~11.7 G madds/s), so a product must be that much larger
-// before the same fan-out amortizes. The scalar constant keeps its
-// PR 1 value (2^16, re-validated then); the vector tiers scale it by
-// the measured throughput ratio, rounded to a power of two: 2^18.
+// per cycle of the scalar one (BENCH_p7, single-thread: ~2.1 vs ~9.0
+// G madds/s at 256-square, ~2.0 vs ~11.0 at 512), so a product must be
+// that much larger before the same fan-out amortizes. The scalar
+// constant keeps its PR 1 value (2^16, re-validated then); the vector
+// tier scales it by the measured throughput ratio, rounded to a power
+// of two: 2^18.
 constexpr size_t kMatMulSerialWorkScalar = size_t{1} << 16;
 constexpr size_t kMatMulSerialWorkVector = size_t{1} << 18;
 // Target flops per shard when row-partitioning a parallel MatMul.
@@ -221,15 +222,6 @@ Matrix Matrix::ColMeans() const {
   if (rows_ == 0) return Matrix(1, cols_);
   Matrix out = ColSums();
   out *= 1.0 / static_cast<double>(rows_);
-  return out;
-}
-
-Matrix Matrix::ColMax() const {
-  GELC_CHECK(rows_ > 0);
-  Matrix out = Row(0);
-  for (size_t i = 1; i < rows_; ++i)
-    for (size_t j = 0; j < cols_; ++j)
-      out.At(0, j) = std::max(out.At(0, j), At(i, j));
   return out;
 }
 

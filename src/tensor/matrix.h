@@ -11,6 +11,7 @@
 #include <functional>
 #include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/aligned.h"
@@ -32,6 +33,24 @@ class Matrix {
 
   /// Builds from nested initializer lists; all rows must have equal length.
   Matrix(std::initializer_list<std::initializer_list<double>> rows);
+
+  Matrix(const Matrix&) = default;
+  Matrix& operator=(const Matrix&) = default;
+  /// Moves leave `other` an empty 0x0 matrix, so a buffer reused by its
+  /// shape (MatMulInto, SpMMInto, the fused kernels) never sees a stale
+  /// shape over no storage.
+  Matrix(Matrix&& other) noexcept
+      : rows_(std::exchange(other.rows_, 0)),
+        cols_(std::exchange(other.cols_, 0)),
+        data_(std::move(other.data_)) {}
+  Matrix& operator=(Matrix&& other) noexcept {
+    if (this != &other) {
+      rows_ = std::exchange(other.rows_, 0);
+      cols_ = std::exchange(other.cols_, 0);
+      data_ = std::move(other.data_);
+    }
+    return *this;
+  }
 
   static Matrix Zero(size_t rows, size_t cols) { return Matrix(rows, cols); }
   static Matrix Identity(size_t n);
@@ -102,8 +121,6 @@ class Matrix {
   Matrix ColSums() const;
   /// Column-wise mean as a 1 x cols matrix; zero rows yield zeros.
   Matrix ColMeans() const;
-  /// Column-wise max as a 1 x cols matrix; requires rows() > 0.
-  Matrix ColMax() const;
   /// Frobenius norm.
   double FrobeniusNorm() const;
   /// True if every entry is exactly zero (either sign). Early-exits on

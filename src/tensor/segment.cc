@@ -61,62 +61,4 @@ Matrix SegmentSum(const Matrix& f, const std::vector<size_t>& offsets) {
   return out;
 }
 
-Matrix SegmentMean(const Matrix& f, const std::vector<size_t>& offsets) {
-  CheckOffsets(f, offsets);
-  size_t k = offsets.size() - 1;
-  size_t d = f.cols();
-  Matrix out(k, d);
-  const double* fdata = f.data().data();
-  double* odata = out.mutable_data().data();
-  simd::CountDispatch();
-  ForEachSegment(k, f.rows() * std::max<size_t>(d, 1), [&](size_t s) {
-    size_t count = offsets[s + 1] - offsets[s];
-    if (count == 0) return;
-    double* orow = odata + s * d;
-    for (size_t i = offsets[s]; i < offsets[s + 1]; ++i) {
-      simd::AddRow(orow, fdata + i * d, d);
-    }
-    // Multiply by the reciprocal (not DivRow): this kernel has always
-    // scaled by 1/count, and the differential tests pin those bits.
-    simd::ScaleRow(orow, 1.0 / static_cast<double>(count), d);
-  });
-  return out;
-}
-
-Matrix SegmentMax(const Matrix& f, const std::vector<size_t>& offsets,
-                  std::vector<size_t>* argmax_rows) {
-  CheckOffsets(f, offsets);
-  size_t k = offsets.size() - 1;
-  size_t d = f.cols();
-  Matrix out(k, d);
-  if (argmax_rows != nullptr) argmax_rows->assign(k * d, f.rows());
-  const double* fdata = f.data().data();
-  double* odata = out.mutable_data().data();
-  simd::CountDispatch();
-  ForEachSegment(k, f.rows() * std::max<size_t>(d, 1), [&](size_t s) {
-    size_t begin = offsets[s];
-    size_t end = offsets[s + 1];
-    if (begin == end) return;  // empty segment: zero row, sentinel argmax
-    double* orow = odata + s * d;
-    const double* first = fdata + begin * d;
-    for (size_t j = 0; j < d; ++j) orow[j] = first[j];
-    for (size_t i = begin + 1; i < end; ++i) {
-      simd::MaxRow(orow, fdata + i * d, d);
-    }
-    if (argmax_rows != nullptr) {
-      size_t* arow = argmax_rows->data() + s * d;
-      for (size_t j = 0; j < d; ++j) arow[j] = begin;
-      for (size_t i = begin + 1; i < end; ++i) {
-        const double* frow = fdata + i * d;
-        // Strict > keeps the first maximum, the same tie convention as
-        // Tape::ColMax.
-        for (size_t j = 0; j < d; ++j) {
-          if (frow[j] > fdata[arow[j] * d + j]) arow[j] = i;
-        }
-      }
-    }
-  });
-  return out;
-}
-
 }  // namespace gelc

@@ -97,10 +97,6 @@ void MaxRowScalar(double* acc, const double* x, size_t d) {
   for (size_t j = 0; j < d; ++j) acc[j] = acc[j] < x[j] ? x[j] : acc[j];
 }
 
-void ScaleRowScalar(double* acc, double s, size_t d) {
-  for (size_t j = 0; j < d; ++j) acc[j] *= s;
-}
-
 void DivRowScalar(double* acc, double s, size_t d) {
   for (size_t j = 0; j < d; ++j) acc[j] /= s;
 }
@@ -241,10 +237,9 @@ void MulRowsToScalar(double* out, const double* a, const double* b,
 
 constexpr internal::KernelTable kScalarTable = {
     MatMulRowsScalar,     SpMMRowsScalar,       AddRowScalar,
-    AddScaledRowScalar,   MaxRowScalar,         ScaleRowScalar,
-    DivRowScalar,         GinCombineRowsScalar, AggregateRowsScalar,
-    FusedLayerRowsScalar, ScaleRowCopyScalar,   AddRowsToScalar,
-    MulRowsToScalar,
+    MaxRowScalar,         DivRowScalar,         GinCombineRowsScalar,
+    AggregateRowsScalar,  FusedLayerRowsScalar, ScaleRowCopyScalar,
+    AddRowsToScalar,      MulRowsToScalar,
 };
 
 // ---------------------------------------------------------------------------
@@ -256,32 +251,19 @@ constexpr internal::KernelTable kScalarTable = {
 // dispatch decision.
 Tier g_tier = Tier::kScalar;
 
-const internal::KernelTable* TableFor(Tier tier) {
-  switch (tier) {
-    case Tier::kScalar:
-      return &kScalarTable;
-    case Tier::kAvx2:
-      return internal::Avx2Table();
-    case Tier::kFast:
-      return internal::FastTable();
-  }
-  return &kScalarTable;
-}
-
 // Binds every dispatch pointer to `tier`, degrading to scalar when the
 // vector table is unavailable. Returns the tier actually installed.
 Tier Install(Tier tier) {
-  if (tier != Tier::kScalar &&
-      (!CpuHasAvx2Fma() || TableFor(tier) == nullptr)) {
+  if (tier == Tier::kAvx2 &&
+      (!CpuHasAvx2Fma() || internal::Avx2Table() == nullptr)) {
     tier = Tier::kScalar;
   }
-  const internal::KernelTable* t = TableFor(tier);
+  const internal::KernelTable* t =
+      tier == Tier::kAvx2 ? internal::Avx2Table() : &kScalarTable;
   MatMulRows = t->matmul_rows;
   SpMMRows = t->spmm_rows;
   AddRow = t->add_row;
-  AddScaledRow = t->add_scaled_row;
   MaxRow = t->max_row;
-  ScaleRow = t->scale_row;
   DivRow = t->div_row;
   GinCombineRows = t->gin_combine_rows;
   AggregateRows = t->aggregate_rows;
@@ -311,10 +293,7 @@ void (*SpMMRows)(const size_t*, const uint32_t*, const double*,
                  const double*, double*, size_t, size_t,
                  size_t) = SpMMRowsScalar;
 void (*AddRow)(double*, const double*, size_t) = AddRowScalar;
-void (*AddScaledRow)(double*, const double*, double,
-                     size_t) = AddScaledRowScalar;
 void (*MaxRow)(double*, const double*, size_t) = MaxRowScalar;
-void (*ScaleRow)(double*, double, size_t) = ScaleRowScalar;
 void (*DivRow)(double*, double, size_t) = DivRowScalar;
 void (*GinCombineRows)(const size_t*, const uint32_t*, const double*, double,
                        double*, size_t, size_t, size_t) = GinCombineRowsScalar;
@@ -347,8 +326,6 @@ const char* TierName(Tier tier) {
       return "scalar";
     case Tier::kAvx2:
       return "avx2";
-    case Tier::kFast:
-      return "fast";
   }
   return "unknown";
 }
@@ -358,9 +335,7 @@ Tier TierFromEnvValue(const char* value, bool hw_avx2_fma) {
       (std::strcmp(value, "0") == 0 || std::strcmp(value, "scalar") == 0)) {
     return Tier::kScalar;
   }
-  if (!hw_avx2_fma) return Tier::kScalar;
-  if (value != nullptr && std::strcmp(value, "fast") == 0) return Tier::kFast;
-  return Tier::kAvx2;
+  return hw_avx2_fma ? Tier::kAvx2 : Tier::kScalar;
 }
 
 Tier SetTier(Tier tier) { return Install(tier); }
@@ -372,18 +347,7 @@ void ResetTier() {
 void CountDispatch() {
   static obs::Counter* scalar = obs::GetCounter("simd.scalar_dispatches");
   static obs::Counter* avx2 = obs::GetCounter("simd.avx2_dispatches");
-  static obs::Counter* fast = obs::GetCounter("simd.fast_dispatches");
-  switch (g_tier) {
-    case Tier::kScalar:
-      scalar->Increment();
-      return;
-    case Tier::kAvx2:
-      avx2->Increment();
-      return;
-    case Tier::kFast:
-      fast->Increment();
-      return;
-  }
+  (g_tier == Tier::kAvx2 ? avx2 : scalar)->Increment();
 }
 
 }  // namespace simd

@@ -2,7 +2,7 @@
 //
 // Every hot inner loop under src/tensor funnels through the entry points
 // declared here. Each entry point is a mutable function pointer bound
-// once per process to one of three implementations (DESIGN.md §11):
+// once per process to one of two implementations (DESIGN.md §11):
 //
 //   kScalar  the reference loops, compiled without vector flags. Always
 //            available; the bit-exactness oracle.
@@ -12,20 +12,14 @@
 //            order, std::max blend semantics). Bit-identical to kScalar
 //            at any thread count — this is the default on AVX2+FMA
 //            hardware.
-//   kFast    the kAvx2 structure with fused multiply-add. FMA rounds
-//            once per madd instead of twice, so bits may differ from the
-//            scalar tier (usually they are *more* accurate). Explicit
-//            opt-in via GELC_SIMD=fast; validated by a tolerance-checked
-//            differential test (tests/simd_test.cc), mirroring the PR 5
-//            differential layer.
 //
-// Selection: GELC_SIMD=0|scalar forces kScalar; GELC_SIMD=fast requests
-// kFast; unset / 1 / avx2 picks kAvx2. Vector tiers silently fall back
-// to kScalar when cpuid lacks AVX2 or FMA, so a binary built here runs
-// anywhere. The AVX2/FMA bodies live in simd_avx2.cc, the only TU built
-// with -mavx2 -mfma (the intrinsics-outside-tensor lint rule keeps it
-// that way); everything else, including this dispatch layer and the
-// scalar tier, compiles for the baseline ISA.
+// Selection: GELC_SIMD=0|scalar forces kScalar; any other value, or none,
+// picks kAvx2. kAvx2 silently falls back to kScalar when cpuid lacks AVX2
+// or FMA, so a binary built here runs anywhere. The AVX2 bodies live in
+// simd_avx2.cc, the only TU built with -mavx2 -mfma (the
+// intrinsics-outside-tensor lint rule keeps it that way); everything
+// else, including this dispatch layer and the scalar tier, compiles for
+// the baseline ISA.
 #ifndef GELC_TENSOR_SIMD_H_
 #define GELC_TENSOR_SIMD_H_
 
@@ -41,7 +35,7 @@ enum class FusedAgg { kSum, kMean, kMax, kCount };
 
 namespace simd {
 
-enum class Tier { kScalar, kAvx2, kFast };
+enum class Tier { kScalar, kAvx2 };
 
 /// True when cpuid reports both AVX2 and FMA.
 bool CpuHasAvx2Fma();
@@ -49,18 +43,18 @@ bool CpuHasAvx2Fma();
 /// The tier the kernels below currently dispatch to.
 Tier ActiveTier();
 
-/// "scalar" / "avx2" / "fast".
+/// "scalar" / "avx2".
 const char* TierName(Tier tier);
 
 /// Parses a GELC_SIMD value against hardware capability: "0"/"scalar"
-/// force kScalar, "fast" requests kFast, anything else (including
-/// nullptr, the unset case) picks the default. Vector tiers degrade to
-/// kScalar when `hw_avx2_fma` is false. Exposed for tests.
+/// force kScalar, anything else (including nullptr, the unset case)
+/// picks kAvx2, which degrades to kScalar when `hw_avx2_fma` is false.
+/// Exposed for tests.
 Tier TierFromEnvValue(const char* value, bool hw_avx2_fma);
 
-/// Overrides the active tier (benchmarks sweep scalar/avx2/fast with
-/// this; tests compare tiers in-process). Vector tiers degrade to
-/// kScalar on non-AVX2 hardware; returns the tier actually installed.
+/// Overrides the active tier (benchmarks sweep scalar/avx2 with this;
+/// tests compare tiers in-process). kAvx2 degrades to kScalar on
+/// non-AVX2 hardware; returns the tier actually installed.
 /// Not thread-safe against concurrently executing kernels — call it
 /// only between kernel invocations, like SetParallelThreadCount.
 Tier SetTier(Tier tier);
@@ -69,7 +63,7 @@ Tier SetTier(Tier tier);
 void ResetTier();
 
 /// Increments the per-tier dispatch counter (simd.scalar_dispatches /
-/// simd.avx2_dispatches / simd.fast_dispatches). The kernel wrappers in
+/// simd.avx2_dispatches). The kernel wrappers in
 /// matrix.cc, sparse.cc, fused.cc and segment.cc call this once per
 /// kernel invocation, so the obs snapshot records how many kernel
 /// dispatches each tier served.
@@ -89,8 +83,8 @@ void CountDispatch();
 /// Rows [row_begin, row_end) of out += a * b, where a is (rows x inner),
 /// b is (inner x ocols), both row-major, and the out rows are already
 /// zeroed. `a`, `b`, `out` are full-matrix base pointers (64-byte
-/// aligned, see base/aligned.h). The vector tiers k-panel-block the
-/// reduction and register-tile 4x8 output blocks; panel boundaries
+/// aligned, see base/aligned.h). The AVX2 tier k-panel-blocks the
+/// reduction and register-tiles 4x8 output blocks; panel boundaries
 /// load/store the exact partial sums, so the per-cell addition chain is
 /// unchanged.
 extern void (*MatMulRows)(const double* a, const double* b, double* out,
@@ -100,7 +94,7 @@ extern void (*MatMulRows)(const double* a, const double* b, double* out,
 /// Rows [row_begin, row_end) of the CSR product out += csr * b with
 /// `d = b.cols()`. `values` is null for an unweighted (all-1.0) matrix.
 /// The out rows are already zeroed; `b` and `out` are full-matrix base
-/// pointers. The vector tiers prefetch the b-row of a later column index
+/// pointers. The AVX2 tier prefetches the b-row of a later column index
 /// while accumulating the current one.
 extern void (*SpMMRows)(const size_t* row_offsets,
                         const uint32_t* col_indices, const double* values,
@@ -110,21 +104,13 @@ extern void (*SpMMRows)(const size_t* row_offsets,
 /// acc[j] += x[j] for j in [0, d).
 extern void (*AddRow)(double* acc, const double* x, size_t d);
 
-/// acc[j] += w * x[j] for j in [0, d).
-extern void (*AddScaledRow)(double* acc, const double* x, double w,
-                            size_t d);
-
 /// acc[j] = std::max(acc[j], x[j]) for j in [0, d) — exact std::max
 /// semantics (keep acc on ties, NaN in x, and the signed-zero cases), in
 /// every tier.
 extern void (*MaxRow)(double* acc, const double* x, size_t d);
 
-/// acc[j] *= s for j in [0, d).
-extern void (*ScaleRow)(double* acc, double s, size_t d);
-
-/// acc[j] /= s for j in [0, d). Kept distinct from ScaleRow(1/s):
-/// theta's mean finalization divides by the count, and IEEE division is
-/// not a multiply by the reciprocal.
+/// acc[j] /= s for j in [0, d): theta's mean finalization divides by the
+/// count, and IEEE division is not a multiply by the reciprocal.
 extern void (*DivRow)(double* acc, double s, size_t d);
 
 /// Rows [row_begin, row_end) of the fused GIN combine
@@ -132,8 +118,8 @@ extern void (*DivRow)(double* acc, double s, size_t d);
 /// d = values.cols(). The neighbor sum folds from zero in ascending CSR
 /// order before the one combine step, so each cell's association is
 /// (c*x) + (n_1 + n_2 + ...). `values` and `out` are full-matrix base
-/// pointers; CSR weights, if any, are ignored. The vector tiers gather
-/// the neighbor rows inline and prefetch a few CSR entries ahead.
+/// pointers; CSR weights, if any, are ignored. The AVX2 tier gathers
+/// the neighbor rows inline and prefetches a few CSR entries ahead.
 extern void (*GinCombineRows)(const size_t* row_offsets,
                               const uint32_t* col_indices,
                               const double* values, double c, double* out,
@@ -200,9 +186,9 @@ inline size_t FusedLayerScratchSize(const FusedLayerSpec& spec) {
 /// An aggregated argument's input row is θ over its CSR row in ascending
 /// order (sum / weighted sum / mean divides by the count / max from
 /// -inf, empty bags give zeros / count). `scratch` holds
-/// FusedLayerScratchSize(spec) doubles. The vector tiers tile
+/// FusedLayerScratchSize(spec) doubles. The AVX2 tier tiles
 /// kFusedLayerRowBlock rows x 8 columns in registers per pass over W,
-/// gather neighbor rows inline with prefetch, and clamp in the store.
+/// gathers neighbor rows inline with prefetch, and clamps in the store.
 extern void (*FusedLayerRows)(const FusedLayerSpec& spec, size_t row_begin,
                               size_t row_end, double* scratch);
 

@@ -1,19 +1,14 @@
-// AVX2/FMA kernel bodies — the only translation unit in the tree built
-// with -mavx2 -mfma (and the only one allowed to touch immintrin.h; the
+// AVX2 kernel bodies — the only translation unit in the tree built with
+// -mavx2 -mfma (and the only one allowed to touch immintrin.h; the
 // intrinsics-outside-tensor lint rule enforces it).
 //
-// Two tables are exported:
-//
-//   Avx2Table()  multiply-then-add vectorization. Every output cell sees
-//                one _mm256_mul_pd and one _mm256_add_pd per reduction
-//                step, in the same ascending order as the scalar loops —
-//                two roundings per step, exactly like `t += a * b` — so
-//                this tier is bit-identical to the scalar tier. Loads
-//                and stores of partial sums at block boundaries are
-//                exact and change nothing.
-//   FastTable()  the same structure with _mm256_fmadd_pd: one rounding
-//                per step, so bits may differ (opt-in via
-//                GELC_SIMD=fast; tolerance-checked in simd_test).
+// Avx2Table() is a multiply-then-add vectorization. Every output cell
+// sees one _mm256_mul_pd and one _mm256_add_pd per reduction step, in the
+// same ascending order as the scalar loops — two roundings per step,
+// exactly like `t += a * b` — so this tier is bit-identical to the scalar
+// tier. Loads and stores of partial sums at block boundaries are exact
+// and change nothing. -ffp-contract=off keeps the compiler from fusing
+// the pair into an FMA.
 //
 // Max reductions use compare+blend, literally (acc < x) ? x : acc, the
 // spelling of std::max(acc, x). _mm256_max_pd(a, b) is a > b ? a : b —
@@ -41,15 +36,10 @@ namespace simd {
 namespace internal {
 namespace {
 
-// One reduction step: acc + x*y with two roundings (kAvx2, matches the
-// scalar tier bit-for-bit) or one fused rounding (kFast).
-template <bool kUseFma>
+// One reduction step: acc + x*y with two roundings, the scalar tier's
+// `acc += x * y` bit for bit.
 inline __m256d MulAdd(__m256d acc, __m256d x, __m256d y) {
-  if constexpr (kUseFma) {
-    return _mm256_fmadd_pd(x, y, acc);
-  } else {
-    return _mm256_add_pd(acc, _mm256_mul_pd(x, y));
-  }
+  return _mm256_add_pd(acc, _mm256_mul_pd(x, y));
 }
 
 // std::max(acc, x) per lane: keep acc unless acc < x (ordered, quiet).
@@ -67,7 +57,6 @@ constexpr size_t kMatMulKPanel = 256;
 // Dense MatMul: cache-blocked, register-tiled (4 rows x 8 columns).
 // ---------------------------------------------------------------------------
 
-template <bool kUseFma>
 void MatMulRowsVec(const double* a, const double* b, double* out,
                    size_t row_begin, size_t row_end, size_t inner,
                    size_t ocols) {
@@ -103,17 +92,17 @@ void MatMulRowsVec(const double* a, const double* b, double* out,
           const __m256d b0 = _mm256_loadu_pd(brow);
           const __m256d b1 = _mm256_loadu_pd(brow + 4);
           __m256d av = _mm256_set1_pd(a0[k]);
-          c00 = MulAdd<kUseFma>(c00, av, b0);
-          c01 = MulAdd<kUseFma>(c01, av, b1);
+          c00 = MulAdd(c00, av, b0);
+          c01 = MulAdd(c01, av, b1);
           av = _mm256_set1_pd(a1[k]);
-          c10 = MulAdd<kUseFma>(c10, av, b0);
-          c11 = MulAdd<kUseFma>(c11, av, b1);
+          c10 = MulAdd(c10, av, b0);
+          c11 = MulAdd(c11, av, b1);
           av = _mm256_set1_pd(a2[k]);
-          c20 = MulAdd<kUseFma>(c20, av, b0);
-          c21 = MulAdd<kUseFma>(c21, av, b1);
+          c20 = MulAdd(c20, av, b0);
+          c21 = MulAdd(c21, av, b1);
           av = _mm256_set1_pd(a3[k]);
-          c30 = MulAdd<kUseFma>(c30, av, b0);
-          c31 = MulAdd<kUseFma>(c31, av, b1);
+          c30 = MulAdd(c30, av, b0);
+          c31 = MulAdd(c31, av, b1);
         }
         _mm256_storeu_pd(o0 + j, c00);
         _mm256_storeu_pd(o0 + j + 4, c01);
@@ -131,10 +120,10 @@ void MatMulRowsVec(const double* a, const double* b, double* out,
         __m256d c3 = _mm256_loadu_pd(o3 + j);
         for (size_t k = k0; k < k1; ++k) {
           const __m256d bv = _mm256_loadu_pd(b + k * ocols + j);
-          c0 = MulAdd<kUseFma>(c0, _mm256_set1_pd(a0[k]), bv);
-          c1 = MulAdd<kUseFma>(c1, _mm256_set1_pd(a1[k]), bv);
-          c2 = MulAdd<kUseFma>(c2, _mm256_set1_pd(a2[k]), bv);
-          c3 = MulAdd<kUseFma>(c3, _mm256_set1_pd(a3[k]), bv);
+          c0 = MulAdd(c0, _mm256_set1_pd(a0[k]), bv);
+          c1 = MulAdd(c1, _mm256_set1_pd(a1[k]), bv);
+          c2 = MulAdd(c2, _mm256_set1_pd(a2[k]), bv);
+          c3 = MulAdd(c3, _mm256_set1_pd(a3[k]), bv);
         }
         _mm256_storeu_pd(o0 + j, c0);
         _mm256_storeu_pd(o1 + j, c1);
@@ -168,8 +157,8 @@ void MatMulRowsVec(const double* a, const double* b, double* out,
         for (size_t k = k0; k < k1; ++k) {
           const double* brow = b + k * ocols + j;
           const __m256d av = _mm256_set1_pd(arow[k]);
-          c0 = MulAdd<kUseFma>(c0, av, _mm256_loadu_pd(brow));
-          c1 = MulAdd<kUseFma>(c1, av, _mm256_loadu_pd(brow + 4));
+          c0 = MulAdd(c0, av, _mm256_loadu_pd(brow));
+          c1 = MulAdd(c1, av, _mm256_loadu_pd(brow + 4));
         }
         _mm256_storeu_pd(orow + j, c0);
         _mm256_storeu_pd(orow + j + 4, c1);
@@ -177,8 +166,8 @@ void MatMulRowsVec(const double* a, const double* b, double* out,
       for (; j + 4 <= ocols; j += 4) {
         __m256d c0 = _mm256_loadu_pd(orow + j);
         for (size_t k = k0; k < k1; ++k) {
-          c0 = MulAdd<kUseFma>(c0, _mm256_set1_pd(arow[k]),
-                               _mm256_loadu_pd(b + k * ocols + j));
+          c0 = MulAdd(c0, _mm256_set1_pd(arow[k]),
+                      _mm256_loadu_pd(b + k * ocols + j));
         }
         _mm256_storeu_pd(orow + j, c0);
       }
@@ -201,7 +190,6 @@ void MatMulRowsVec(const double* a, const double* b, double* out,
 // without thrashing L1 on dense rows.
 constexpr size_t kSpMMPrefetchAhead = 8;
 
-template <bool kUseFma>
 void SpMMRowsVec(const size_t* row_offsets, const uint32_t* col_indices,
                  const double* values, const double* b, double* out,
                  size_t row_begin, size_t row_end, size_t d) {
@@ -224,17 +212,15 @@ void SpMMRowsVec(const size_t* row_offsets, const uint32_t* col_indices,
         const double w = values[k];
         const __m256d wv = _mm256_set1_pd(w);
         for (; j + 8 <= d; j += 8) {
-          _mm256_storeu_pd(orow + j,
-                           MulAdd<kUseFma>(_mm256_loadu_pd(orow + j), wv,
-                                           _mm256_loadu_pd(brow + j)));
+          _mm256_storeu_pd(orow + j, MulAdd(_mm256_loadu_pd(orow + j), wv,
+                                            _mm256_loadu_pd(brow + j)));
           _mm256_storeu_pd(orow + j + 4,
-                           MulAdd<kUseFma>(_mm256_loadu_pd(orow + j + 4), wv,
-                                           _mm256_loadu_pd(brow + j + 4)));
+                           MulAdd(_mm256_loadu_pd(orow + j + 4), wv,
+                                  _mm256_loadu_pd(brow + j + 4)));
         }
         for (; j + 4 <= d; j += 4) {
-          _mm256_storeu_pd(orow + j,
-                           MulAdd<kUseFma>(_mm256_loadu_pd(orow + j), wv,
-                                           _mm256_loadu_pd(brow + j)));
+          _mm256_storeu_pd(orow + j, MulAdd(_mm256_loadu_pd(orow + j), wv,
+                                            _mm256_loadu_pd(brow + j)));
         }
         for (; j < d; ++j) orow[j] += w * brow[j];
       } else {
@@ -271,17 +257,6 @@ void AddRowVec(double* acc, const double* x, size_t d) {
   for (; j < d; ++j) acc[j] += x[j];
 }
 
-template <bool kUseFma>
-void AddScaledRowVec(double* acc, const double* x, double w, size_t d) {
-  const __m256d wv = _mm256_set1_pd(w);
-  size_t j = 0;
-  for (; j + 4 <= d; j += 4) {
-    _mm256_storeu_pd(acc + j, MulAdd<kUseFma>(_mm256_loadu_pd(acc + j), wv,
-                                              _mm256_loadu_pd(x + j)));
-  }
-  for (; j < d; ++j) acc[j] += w * x[j];
-}
-
 void MaxRowVec(double* acc, const double* x, size_t d) {
   size_t j = 0;
   for (; j + 4 <= d; j += 4) {
@@ -289,15 +264,6 @@ void MaxRowVec(double* acc, const double* x, size_t d) {
                                        _mm256_loadu_pd(x + j)));
   }
   for (; j < d; ++j) acc[j] = acc[j] < x[j] ? x[j] : acc[j];
-}
-
-void ScaleRowVec(double* acc, double s, size_t d) {
-  const __m256d sv = _mm256_set1_pd(s);
-  size_t j = 0;
-  for (; j + 4 <= d; j += 4) {
-    _mm256_storeu_pd(acc + j, _mm256_mul_pd(_mm256_loadu_pd(acc + j), sv));
-  }
-  for (; j < d; ++j) acc[j] *= s;
 }
 
 void DivRowVec(double* acc, double s, size_t d) {
@@ -354,7 +320,7 @@ GELC_SIMD_INLINE void StoreChunk(double* p, __m256i mask, const __m256d* x) {
 // scalar fold per lane — from zero (sum, mean) or -inf (max) in
 // ascending CSR order, weighted entries as acc + w*x, mean divided by
 // the count, empty max bags zeroed.
-template <int NV, bool kUseFma, typename RowFn>
+template <int NV, typename RowFn>
 GELC_SIMD_INLINE void FoldBag(size_t begin, size_t end, FusedAgg agg,
                               const double* weights, __m256i mask,
                               RowFn row_of, __m256d* acc) {
@@ -382,7 +348,7 @@ GELC_SIMD_INLINE void FoldBag(size_t begin, size_t end, FusedAgg agg,
       LoadChunk<NV>(row_of(k), mask, x);
       const __m256d wv = _mm256_set1_pd(weights[k]);
 #pragma GCC unroll 4
-      for (int q = 0; q < NV; ++q) acc[q] = MulAdd<kUseFma>(acc[q], wv, x[q]);
+      for (int q = 0; q < NV; ++q) acc[q] = MulAdd(acc[q], wv, x[q]);
     }
   } else {
     for (size_t k = begin; k < end; ++k) {
@@ -402,7 +368,7 @@ GELC_SIMD_INLINE void FoldBag(size_t begin, size_t end, FusedAgg agg,
 // into acc. Neighbor rows are prefetched kGatherPrefetchAhead entries
 // ahead, up to `prefetch_end` (the shard's last CSR entry); source and
 // broadcast bags fold one fixed row.
-template <int NV, bool kUseFma>
+template <int NV>
 GELC_SIMD_INLINE void GatherChunk(const LayerArg& a, size_t v, size_t j0,
                                   __m256i mask, size_t prefetch_end,
                                   __m256d* acc) {
@@ -412,12 +378,12 @@ GELC_SIMD_INLINE void GatherChunk(const LayerArg& a, size_t v, size_t j0,
   const size_t d = a.d;
   if (a.broadcast || a.gather_source) {
     const double* fixed = base + (a.broadcast ? 0 : v) * d;
-    FoldBag<NV, kUseFma>(begin, end, a.agg, a.csr_values, mask,
-                         [fixed](size_t) { return fixed; }, acc);
+    FoldBag<NV>(begin, end, a.agg, a.csr_values, mask,
+                [fixed](size_t) { return fixed; }, acc);
     return;
   }
   const uint32_t* cols = a.col_indices;
-  FoldBag<NV, kUseFma>(
+  FoldBag<NV>(
       begin, end, a.agg, a.csr_values, mask,
       [base, d, cols, prefetch_end](size_t k) {
         if (k + kGatherPrefetchAhead < prefetch_end) {
@@ -458,7 +424,6 @@ GELC_SIMD_INLINE void ForEachChunk(size_t d, ChunkFn&& chunk) {
 }
 
 // The aggregated input row of argument `a` at vertex v into dst.
-template <bool kUseFma>
 GELC_SIMD_INLINE void GatherRow(const LayerArg& a, size_t v,
                                 size_t prefetch_end, double* dst) {
   if (a.agg == FusedAgg::kCount) {
@@ -468,19 +433,18 @@ GELC_SIMD_INLINE void GatherRow(const LayerArg& a, size_t v,
   }
   ForEachChunk(a.d, [&]<int NV>(size_t j0, __m256i mask) {
     __m256d acc[NV];
-    GatherChunk<NV, kUseFma>(a, v, j0, mask, prefetch_end, acc);
+    GatherChunk<NV>(a, v, j0, mask, prefetch_end, acc);
     StoreChunk<NV>(dst + j0, mask, acc);
   });
 }
 
-template <bool kUseFma>
 void AggregateRowsVec(const LayerArg& a, size_t row_begin, size_t row_end,
                       double* out) {
   if (row_begin >= row_end) return;
   const size_t width = a.agg == FusedAgg::kCount ? 1 : a.d;
   const size_t prefetch_end = a.row_offsets[row_end];
   for (size_t v = row_begin; v < row_end; ++v) {
-    GatherRow<kUseFma>(a, v, prefetch_end, out + v * width);
+    GatherRow(a, v, prefetch_end, out + v * width);
   }
 }
 
@@ -513,7 +477,7 @@ GELC_SIMD_INLINE void FinishCell(__m256d c, double* o, const double* bias,
 // One argument's fold for R rows: cell (r, j) = Σ_k x[r][k] * w[k][j]
 // from zero in ascending k, tiled R rows x 8 columns (then 4, then a
 // masked tail), finished by FinishCell.
-template <int R, bool kUseFma>
+template <int R>
 GELC_SIMD_INLINE void FoldRows(const double* const* x, const double* w,
                                size_t k_len, size_t out_dim, double* const* o,
                                const double* bias, bool first, bool last,
@@ -534,8 +498,8 @@ GELC_SIMD_INLINE void FoldRows(const double* const* x, const double* w,
 #pragma GCC unroll 4
       for (int r = 0; r < R; ++r) {
         const __m256d av = _mm256_set1_pd(x[r][k]);
-        c[r][0] = MulAdd<kUseFma>(c[r][0], av, b0);
-        c[r][1] = MulAdd<kUseFma>(c[r][1], av, b1);
+        c[r][0] = MulAdd(c[r][0], av, b0);
+        c[r][1] = MulAdd(c[r][1], av, b1);
       }
     }
     const double* bj = bias == nullptr ? nullptr : bias + j;
@@ -559,7 +523,7 @@ GELC_SIMD_INLINE void FoldRows(const double* const* x, const double* w,
                                    : _mm256_maskload_pd(wrow, mask);
 #pragma GCC unroll 4
       for (int r = 0; r < R; ++r) {
-        c[r] = MulAdd<kUseFma>(c[r], _mm256_set1_pd(x[r][k]), b);
+        c[r] = MulAdd(c[r], _mm256_set1_pd(x[r][k]), b);
       }
     }
     const double* bj = bias == nullptr ? nullptr : bias + j;
@@ -571,7 +535,7 @@ GELC_SIMD_INLINE void FoldRows(const double* const* x, const double* w,
 }
 
 // R consecutive rows starting at v, every argument in order.
-template <int R, bool kUseFma>
+template <int R>
 GELC_SIMD_INLINE void FusedLayerBlock(const FusedLayerSpec& s, size_t v,
                                       size_t row_end, double* scratch) {
   double* o[R];
@@ -585,7 +549,7 @@ GELC_SIMD_INLINE void FusedLayerBlock(const FusedLayerSpec& s, size_t v,
 #pragma GCC unroll 4
       for (int r = 0; r < R; ++r) {
         double* dst = scratch + r * s.agg_dim;
-        GatherRow<kUseFma>(a, v + r, prefetch_end, dst);
+        GatherRow(a, v + r, prefetch_end, dst);
         x[r] = dst;
       }
     } else {
@@ -594,22 +558,20 @@ GELC_SIMD_INLINE void FusedLayerBlock(const FusedLayerSpec& s, size_t v,
         x[r] = a.values + (a.broadcast ? 0 : v + r) * a.d;
       }
     }
-    FoldRows<R, kUseFma>(x, a.w, a.w_rows, s.out_dim, o, s.bias, i == 0,
-                         i + 1 == s.num_args, s.relu);
+    FoldRows<R>(x, a.w, a.w_rows, s.out_dim, o, s.bias, i == 0,
+                i + 1 == s.num_args, s.relu);
   }
 }
 
-template <bool kUseFma>
 void FusedLayerRowsVec(const FusedLayerSpec& s, size_t row_begin,
                        size_t row_end, double* scratch) {
   size_t v = row_begin;
   for (; v + kFusedLayerRowBlock <= row_end; v += kFusedLayerRowBlock) {
-    FusedLayerBlock<kFusedLayerRowBlock, kUseFma>(s, v, row_end, scratch);
+    FusedLayerBlock<kFusedLayerRowBlock>(s, v, row_end, scratch);
   }
-  for (; v < row_end; ++v) FusedLayerBlock<1, kUseFma>(s, v, row_end, scratch);
+  for (; v < row_end; ++v) FusedLayerBlock<1>(s, v, row_end, scratch);
 }
 
-template <bool kUseFma>
 void GinCombineRowsVec(const size_t* row_offsets, const uint32_t* col_indices,
                        const double* values, double c, double* out,
                        size_t row_begin, size_t row_end, size_t d) {
@@ -627,12 +589,12 @@ void GinCombineRowsVec(const size_t* row_offsets, const uint32_t* col_indices,
     ForEachChunk(d, [&]<int NV>(size_t j0, __m256i mask) {
       __m256d acc[NV];
       __m256d self[NV];
-      GatherChunk<NV, kUseFma>(a, v, j0, mask, prefetch_end, acc);
+      GatherChunk<NV>(a, v, j0, mask, prefetch_end, acc);
       LoadChunk<NV>(values + v * d + j0, mask, self);
-      // self * c + agg: one multiply, one add in the default tier.
+      // self * c + agg: one multiply, then one add.
 #pragma GCC unroll 4
       for (int q = 0; q < NV; ++q) {
-        acc[q] = MulAdd<kUseFma>(acc[q], cv, self[q]);
+        acc[q] = MulAdd(acc[q], cv, self[q]);
       }
       StoreChunk<NV>(out + v * d + j0, mask, acc);
     });
@@ -667,29 +629,15 @@ void MulRowsToVec(double* out, const double* a, const double* b, size_t d) {
 }
 
 constexpr KernelTable kAvx2Table = {
-    MatMulRowsVec<false>,     SpMMRowsVec<false>,
-    AddRowVec,                AddScaledRowVec<false>,
-    MaxRowVec,                ScaleRowVec,
-    DivRowVec,                GinCombineRowsVec<false>,
-    AggregateRowsVec<false>,  FusedLayerRowsVec<false>,
-    ScaleRowCopyVec,          AddRowsToVec,
-    MulRowsToVec,
-};
-
-constexpr KernelTable kFastTable = {
-    MatMulRowsVec<true>,      SpMMRowsVec<true>,
-    AddRowVec,                AddScaledRowVec<true>,
-    MaxRowVec,                ScaleRowVec,
-    DivRowVec,                GinCombineRowsVec<true>,
-    AggregateRowsVec<true>,   FusedLayerRowsVec<true>,
-    ScaleRowCopyVec,          AddRowsToVec,
-    MulRowsToVec,
+    MatMulRowsVec,     SpMMRowsVec,       AddRowVec,
+    MaxRowVec,         DivRowVec,         GinCombineRowsVec,
+    AggregateRowsVec,  FusedLayerRowsVec, ScaleRowCopyVec,
+    AddRowsToVec,      MulRowsToVec,
 };
 
 }  // namespace
 
 const KernelTable* Avx2Table() { return &kAvx2Table; }
-const KernelTable* FastTable() { return &kFastTable; }
 
 }  // namespace internal
 }  // namespace simd
@@ -702,9 +650,8 @@ namespace simd {
 namespace internal {
 
 // Built without AVX2/FMA support (non-x86 target or missing -mavx2
-// -mfma): no vector tables; the dispatcher pins the scalar tier.
+// -mfma): no vector table; the dispatcher pins the scalar tier.
 const KernelTable* Avx2Table() { return nullptr; }
-const KernelTable* FastTable() { return nullptr; }
 
 }  // namespace internal
 }  // namespace simd

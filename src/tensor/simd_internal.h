@@ -1,5 +1,5 @@
-// Internal glue between the SIMD dispatch layer (simd.cc) and the
-// AVX2/FMA translation unit (simd_avx2.cc). Not for use outside
+// Internal glue between the SIMD dispatch layer (simd.cc) and the AVX2
+// translation unit (simd_avx2.cc). Not for use outside
 // src/tensor/simd*.
 #ifndef GELC_TENSOR_SIMD_INTERNAL_H_
 #define GELC_TENSOR_SIMD_INTERNAL_H_
@@ -23,9 +23,7 @@ struct KernelTable {
                     const double* values, const double* b, double* out,
                     size_t row_begin, size_t row_end, size_t d);
   void (*add_row)(double* acc, const double* x, size_t d);
-  void (*add_scaled_row)(double* acc, const double* x, double w, size_t d);
   void (*max_row)(double* acc, const double* x, size_t d);
-  void (*scale_row)(double* acc, double s, size_t d);
   void (*div_row)(double* acc, double s, size_t d);
   void (*gin_combine_rows)(const size_t* row_offsets,
                            const uint32_t* col_indices, const double* values,
@@ -42,12 +40,11 @@ struct KernelTable {
                       size_t d);
 };
 
-/// The AVX2 (multiply-then-add, bit-identical to scalar) and FMA (fast)
-/// tables, defined in simd_avx2.cc. Null when that TU was compiled
-/// without AVX2/FMA support (non-x86 target or a compiler without
-/// -mavx2): the dispatcher then pins the scalar tier.
+/// The AVX2 table (multiply-then-add, bit-identical to scalar), defined
+/// in simd_avx2.cc. Null when that TU was compiled without AVX2/FMA
+/// support (non-x86 target or a compiler without -mavx2): the dispatcher
+/// then pins the scalar tier.
 const KernelTable* Avx2Table();
-const KernelTable* FastTable();
 
 }  // namespace internal
 }  // namespace simd

@@ -98,7 +98,7 @@ void SpMMInto(const CsrMatrix& a, const Matrix& b, Matrix* out) {
   double* odata = out->mutable_data().data();
   // The row walk is the dispatched SpMMRows kernel: ascending-index
   // accumulation per output row in every tier, with b-row prefetch in the
-  // vector tiers.
+  // AVX2 tier.
   const size_t* offsets = a.row_offsets.data();
   const uint32_t* cols = a.col_indices.data();
   const double* vals = a.weighted() ? a.values.data() : nullptr;

@@ -45,7 +45,6 @@ TEST(TapeTest, ForwardValuesMatchMatrixOps) {
   ValueId ia = tape.Input(a);
   ValueId ib = tape.Input(b);
   EXPECT_EQ(tape.value(tape.Add(ia, ib)), a + b);
-  EXPECT_EQ(tape.value(tape.Sub(ia, ib)), a - b);
   EXPECT_EQ(tape.value(tape.MatMul(ia, ib)), a.MatMul(b));
   EXPECT_EQ(tape.value(tape.Hadamard(ia, ib)), a.Hadamard(b));
   EXPECT_EQ(tape.value(tape.Scale(ia, 3.0)), a * 3.0);
@@ -148,29 +147,6 @@ TEST(TapeTest, GradThroughColSumsAndGather) {
       });
 }
 
-TEST(TapeTest, GradThroughColMax) {
-  // Input values chosen so the argmax is unique and stable under the
-  // finite-difference probe.
-  Parameter w(Matrix({{2.0, -1.0}, {0.5, 3.0}}));
-  Matrix x = {{1, 0}, {0, 1}, {2, 2}};
-  Matrix target = {{0.0, 0.0}};
-
-  auto build = [&](Tape* t) {
-    ValueId h = t->MatMul(t->Input(x), t->Param(&w));
-    return t->Mse(t->ColMax(h), target);
-  };
-  CheckGradient(
-      &w,
-      [&]() {
-        Tape t;
-        return t.value(build(&t)).At(0, 0);
-      },
-      [&]() {
-        Tape t;
-        t.Backward(build(&t));
-      });
-}
-
 TEST(TapeTest, SoftmaxCrossEntropyGradient) {
   Rng rng(23);
   Parameter w(Matrix::RandomGaussian(3, 4, 0.5, &rng));
@@ -223,66 +199,32 @@ TEST(TapeTest, SegmentOpsForwardMatchPerBlockColumnOps) {
   Tape t;
   ValueId ix = t.Input(x);
   Matrix sum = t.value(t.SegmentSum(ix, offsets));
-  Matrix mean = t.value(t.SegmentMean(ix, offsets));
-  Matrix mx = t.value(t.SegmentMax(ix, offsets));
   ASSERT_EQ(sum.rows(), 4u);
   for (size_t s = 0; s < 4; ++s) {
     size_t rows = offsets[s + 1] - offsets[s];
     if (rows == 0) {
-      // Empty segments pool to zero rows, max included.
+      // Empty segments pool to zero rows.
       EXPECT_EQ(sum.Row(s), Matrix(1, 3));
-      EXPECT_EQ(mean.Row(s), Matrix(1, 3));
-      EXPECT_EQ(mx.Row(s), Matrix(1, 3));
       continue;
     }
     Matrix block(rows, 3);
     for (size_t r = 0; r < rows; ++r)
       for (size_t c = 0; c < 3; ++c)
         block.At(r, c) = x.At(offsets[s] + r, c);
-    // Bit-for-bit the whole-matrix column reductions of the block alone.
+    // Bit-for-bit the whole-matrix column sums of the block alone.
     EXPECT_EQ(sum.Row(s), block.ColSums());
-    EXPECT_EQ(mean.Row(s), block.ColMeans());
-    EXPECT_EQ(mx.Row(s), block.ColMax());
   }
 }
 
-TEST(TapeTest, GradThroughSegmentSumAndMean) {
+TEST(TapeTest, GradThroughSegmentSum) {
   Rng rng(41);
   Parameter w(Matrix::RandomGaussian(3, 2, 0.5, &rng));
   Matrix x = Matrix::RandomGaussian(6, 3, 1.0, &rng);
   std::vector<size_t> offsets = {0, 2, 2, 5, 6};  // empty middle segment
   Matrix target = Matrix::RandomGaussian(4, 2, 1.0, &rng);
-  for (bool mean : {false, true}) {
-    auto build = [&](Tape* t) {
-      ValueId h = t->MatMul(t->Input(x), t->Param(&w));
-      ValueId pooled =
-          mean ? t->SegmentMean(h, offsets) : t->SegmentSum(h, offsets);
-      return t->Mse(pooled, target);
-    };
-    CheckGradient(
-        &w,
-        [&]() {
-          Tape t;
-          return t.value(build(&t)).At(0, 0);
-        },
-        [&]() {
-          Tape t;
-          t.Backward(build(&t));
-        });
-  }
-}
-
-TEST(TapeTest, GradThroughSegmentMax) {
-  // Values chosen so each segment's argmaxes are unique and stable under
-  // the finite-difference probe (cf. GradThroughColMax).
-  Parameter w(Matrix({{2.0, -1.0}, {0.5, 3.0}}));
-  Matrix x = {{1, 0}, {0, 1}, {2, 2}, {3, 0}, {0, 2}};
-  std::vector<size_t> offsets = {0, 3, 5};
-  Matrix target(2, 2);
-
   auto build = [&](Tape* t) {
     ValueId h = t->MatMul(t->Input(x), t->Param(&w));
-    return t->Mse(t->SegmentMax(h, offsets), target);
+    return t->Mse(t->SegmentSum(h, offsets), target);
   };
   CheckGradient(
       &w,
@@ -294,23 +236,6 @@ TEST(TapeTest, GradThroughSegmentMax) {
         Tape t;
         t.Backward(build(&t));
       });
-}
-
-TEST(TapeTest, SegmentMaxTieRoutesGradientToFirstArgmax) {
-  // Each segment holds an exact two-way tie per column; the subgradient
-  // convention routes all of it to the first argmax row.
-  Parameter w(Matrix({{1.0, 3.0}, {1.0, 3.0}, {2.0, 5.0}, {2.0, 5.0}}));
-  std::vector<size_t> offsets = {0, 2, 4};
-  Tape t;
-  ValueId mx = t.SegmentMax(t.Param(&w), offsets);
-  w.ZeroGrad();
-  t.Backward(t.Mse(mx, Matrix(2, 2)));
-  for (size_t c = 0; c < 2; ++c) {
-    EXPECT_NE(w.grad.At(0, c), 0.0) << "col " << c;
-    EXPECT_EQ(w.grad.At(1, c), 0.0) << "col " << c;
-    EXPECT_NE(w.grad.At(2, c), 0.0) << "col " << c;
-    EXPECT_EQ(w.grad.At(3, c), 0.0) << "col " << c;
-  }
 }
 
 TEST(TapeTest, SegmentedMatMulAndBiasMatchPlainOps) {

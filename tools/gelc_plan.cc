@@ -1,10 +1,11 @@
 // gelc_plan: compile a textual GEL expression to a plan and show the IR.
 //
-//   gelc_plan [--no-opt] [--reassociate] [--exec N] 'EXPR'
+//   gelc_plan [--no-opt] [--exec N] 'EXPR'
 //
 // Parses EXPR with the core/parser.h grammar, lowers it through the query
 // compiler (core/plan_compile.h) and prints the unoptimized and optimized
-// plans side by side with the rewrite statistics. With --exec N the plan
+// plans side by side with the rewrite statistics (--no-opt skips the
+// rewrite passes for the second plan too). With --exec N the second plan
 // additionally runs on a fixed-seed G(N, 10/N) graph (feature dimension
 // 4, uniform features) and the result is cross-checked bit-for-bit
 // against the Evaluator reference before the first rows are printed.
@@ -28,8 +29,7 @@ namespace {
 
 constexpr size_t kFeatureDim = 4;
 
-int Run(bool optimize, bool reassociate, size_t exec_n,
-        const std::string& text) {
+int Run(bool optimize, size_t exec_n, const std::string& text) {
   Result<ExprPtr> parsed = ParseExpr(text);
   if (!parsed.ok()) {
     std::fprintf(stderr, "parse error: %s\n",
@@ -55,7 +55,6 @@ int Run(bool optimize, bool reassociate, size_t exec_n,
 
   PlanOptions options;
   options.optimize = optimize;
-  options.reassociate = reassociate;
   CompileStats stats;
   Result<PlanPtr> plan = CompileToPlan(e, options, &stats);
   if (!plan.ok()) {
@@ -67,11 +66,11 @@ int Run(bool optimize, bool reassociate, size_t exec_n,
   std::printf(
       "\nops: %zu -> %zu  cse: %zu  guard pushdowns: %zu  label "
       "coalesces: %zu  activation fusions: %zu  aggregate absorptions: "
-      "%zu  gin fusions: %zu  readout fusions: %zu  reassociations: %zu\n",
+      "%zu  gin fusions: %zu  readout fusions: %zu\n",
       stats.ops_before_opt, stats.ops_after_opt, stats.cse_hits,
       stats.guard_pushdowns, stats.label_coalesces,
       stats.activation_fusions, stats.aggregate_absorptions,
-      stats.gin_fusions, stats.readout_fusions, stats.reassociations);
+      stats.gin_fusions, stats.readout_fusions);
 
   if (exec_n == 0) return 0;
 
@@ -94,26 +93,24 @@ int Run(bool optimize, bool reassociate, size_t exec_n,
                  out.status().ToString().c_str());
     return 1;
   }
-  if (optimize && !reassociate) {
-    // The default pipeline promises bit-identity to the interpreter;
-    // check it on the way out (reassociation intentionally reorders FP).
-    Evaluator ev(fg);
-    bool match = true;
-    if (e->free_vars() == 0) {
-      Result<std::vector<double>> ref = ev.EvalClosed(e);
-      if (ref.ok()) {
-        for (size_t j = 0; j < ref->size(); ++j) {
-          if ((*ref)[j] != out->At(0, j)) match = false;
-        }
+  // Every plan, rewritten or not, promises bit-identity to the
+  // interpreter; check it on the way out.
+  Evaluator ev(fg);
+  bool match = true;
+  if (e->free_vars() == 0) {
+    Result<std::vector<double>> ref = ev.EvalClosed(e);
+    if (ref.ok()) {
+      for (size_t j = 0; j < ref->size(); ++j) {
+        if ((*ref)[j] != out->At(0, j)) match = false;
       }
-    } else {
-      Result<Matrix> ref = ev.EvalVertex(e);
-      if (ref.ok() && !(*ref == *out)) match = false;
     }
-    if (!match) {
-      std::fprintf(stderr, "BUG: plan result differs from interpreter\n");
-      return 1;
-    }
+  } else {
+    Result<Matrix> ref = ev.EvalVertex(e);
+    if (ref.ok() && !(*ref == *out)) match = false;
+  }
+  if (!match) {
+    std::fprintf(stderr, "BUG: plan result differs from interpreter\n");
+    return 1;
   }
   std::printf("\n-- result on G(%zu, 10/n), first rows --\n", exec_n);
   const size_t show = out->rows() < 5 ? out->rows() : 5;
@@ -132,14 +129,11 @@ int Run(bool optimize, bool reassociate, size_t exec_n,
 
 int main(int argc, char** argv) {
   bool optimize = true;
-  bool reassociate = false;
   size_t exec_n = 0;
   std::string text;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--no-opt") == 0) {
       optimize = false;
-    } else if (std::strcmp(argv[i], "--reassociate") == 0) {
-      reassociate = true;
     } else if (std::strcmp(argv[i], "--exec") == 0 && i + 1 < argc) {
       exec_n = static_cast<size_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (text.empty()) {
@@ -151,9 +145,8 @@ int main(int argc, char** argv) {
   }
   if (text.empty()) {
     std::fprintf(stderr,
-                 "usage: gelc_plan [--no-opt] [--reassociate] [--exec N] "
-                 "'EXPR'\n");
+                 "usage: gelc_plan [--no-opt] [--exec N] 'EXPR'\n");
     return 2;
   }
-  return gelc::Run(optimize, reassociate, exec_n, text);
+  return gelc::Run(optimize, exec_n, text);
 }
