@@ -9,6 +9,7 @@
 #include "gnn/gnn101.h"
 #include "gnn/mpnn.h"
 #include "gnn/trainable.h"
+#include "graph/batch.h"
 #include "graph/generators.h"
 
 namespace gelc {
@@ -61,9 +62,11 @@ void BM_TrainingStep(benchmark::State& state) {
   auto model = TrainableGnn::Create(cfg).value();
   std::vector<size_t> labels;
   for (size_t v : ds.train_nodes) labels.push_back(ds.labels[v]);
+  // Packed once, as TrainNodeClassifier does before its epoch loop.
+  GraphBatch batch = GraphBatch::Create({&ds.graph}).value();
   for (auto _ : state) {
     Tape tape;
-    ValueId logits = model->NodeLogits(&tape, ds.graph);
+    ValueId logits = model->NodeLogits(&tape, batch);
     ValueId train_logits = tape.GatherRows(logits, ds.train_nodes);
     ValueId loss = tape.SoftmaxCrossEntropy(train_logits, labels);
     tape.Backward(loss);

@@ -1,12 +1,12 @@
-// P9: batched vs per-graph training epochs. A fixed 64-graph dataset is
-// trained for one epoch per iteration — sum-of-gradients, one optimizer
-// step — either with one tape per graph (the historical loop) or with one
-// tape per GraphBatch minibatch. Batched args are {batch_size, n,
-// threads}; the per-graph baseline sweeps {n, threads}. The two paths
-// produce bit-identical parameters (tests/batch_test.cc pins it); these
-// benches only time the epochs, in wall time (UseRealTime) so the
-// 4-thread rows count the pool's work. scripts/run_benches.sh records the
-// sweep and the batch.* registry deltas into BENCH_p9.json.
+// P9: batched training epochs. A fixed 64-graph dataset is trained for
+// one epoch per iteration — sum-of-gradients, one optimizer step — with
+// one tape per GraphBatch minibatch. Args are {batch_size, n, threads};
+// batch size 1 is the per-graph epoch, since a single graph trains as a
+// batch of one. One batch of all 64 graphs gives the bits of 64 batches
+// of one (tests/batch_test.cc pins it); these benches only time the
+// epochs, in wall time (UseRealTime) so the 4-thread rows count the
+// pool's work. scripts/run_benches.sh records the sweep and the batch.*
+// registry deltas into BENCH_p9.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -133,47 +133,12 @@ class BatchCounters {
 // application) where per-tape overhead dominates and batching pays
 // multiples; n = 64 shows the large-graph end where per-graph kernels
 // are already amortized and batching rides to parity.
-void PerGraphSweep(benchmark::internal::Benchmark* b) {
-  for (int64_t n : {8, 16, 64})
-    for (int64_t threads : {1, 4}) b->Args({n, threads});
-  b->UseRealTime();
-}
-
 void BatchedSweep(benchmark::internal::Benchmark* b) {
   for (int64_t batch : {1, 8, 32})
     for (int64_t n : {8, 16, 64})
       for (int64_t threads : {1, 4}) b->Args({batch, n, threads});
   b->UseRealTime();
 }
-
-// The historical epoch: one tape (and one set of kernel launches) per
-// graph, gradients summed across the dataset, one step.
-void BM_EpochPerGraph(benchmark::State& state) {
-  SetParallelThreadCount(static_cast<size_t>(state.range(1)));
-  std::vector<Graph> graphs = MakeDataset(state.range(0));
-  for (Graph& g : graphs) g.Csr();  // prewarm outside the timed loop
-  std::vector<size_t> labels = MakeLabels();
-  std::unique_ptr<TrainableGnn> model = MakeModel();
-  Sgd opt(0.01);
-  for (Parameter* p : model->Parameters()) opt.Register(p);
-  auto epoch = [&]() {
-    opt.ZeroGrad();
-    for (size_t i = 0; i < graphs.size(); ++i) {
-      Tape tape;
-      ValueId logits = model->GraphLogits(&tape, graphs[i]);
-      tape.Backward(tape.SoftmaxCrossEntropy(logits, {labels[i]}));
-    }
-    opt.Step();
-  };
-  for (int e = 0; e < kSteadyStateWarmupEpochs; ++e) epoch();
-  BatchCounters counters;
-  for (auto _ : state) epoch();
-  counters.Attach(state);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(graphs.size()));
-  SetParallelThreadCount(0);
-}
-BENCHMARK(BM_EpochPerGraph)->Apply(PerGraphSweep);
 
 // The batched epoch: minibatches packed once up front (as the trainer
 // does), one tape per minibatch, Scale(loss, k) restoring sum semantics.

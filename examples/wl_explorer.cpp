@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "graph/generators.h"
-#include "graph/isomorphism.h"
 #include "wl/color_refinement.h"
+#include "wl/isomorphism.h"
 #include "wl/kwl.h"
 
 using namespace gelc;

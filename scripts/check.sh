@@ -60,6 +60,10 @@
 # Usage: scripts/check.sh [--fast]
 #   --fast  skip steps 6 and 7 (the sanitizer rebuilds) for quick
 #           iteration; the full run is still required before the PR.
+#
+# Every build runs at most $(nproc) compile jobs: an unbounded -j on the
+# cold ASAN+UBSAN build starts more compilers than a 4-vCPU, 15 GB host
+# holds in memory.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -69,7 +73,7 @@ fast=0
 
 echo "== [1/7] build (with -Werror) =="
 cmake -B build -S . -DGELC_WERROR=ON >/dev/null
-cmake --build build -j >/dev/null
+cmake --build build -j"$(nproc)" >/dev/null
 
 echo "== [2/7] gelc_lint =="
 ./build/tools/gelc_lint src tests bench examples tools
@@ -156,7 +160,7 @@ fi
 echo "== [6/7] ASAN/UBSAN ctest =="
 cmake -B build-ubsan -S . -DGELC_ENABLE_ASAN=ON -DGELC_ENABLE_UBSAN=ON \
   >/dev/null
-cmake --build build-ubsan -j >/dev/null
+cmake --build build-ubsan -j"$(nproc)" >/dev/null
 (cd build-ubsan && ctest --output-on-failure -j)
 # No unit test reaches process exit, where the exporters write the trace
 # and metrics files and print the summaries; run each exporting tool with
@@ -176,7 +180,7 @@ run_exporters ./build-ubsan/tools/gelc_stream
 
 echo "== [7/7] TSAN ctest =="
 cmake -B build-tsan -S . -DGELC_ENABLE_TSAN=ON >/dev/null
-cmake --build build-tsan -j --target obs_test parallel_test plan_test \
+cmake --build build-tsan -j"$(nproc)" --target obs_test parallel_test plan_test \
   fuzz_test simd_test stream_test >/dev/null
 (cd build-tsan && ctest --output-on-failure \
   -R '^(obs_test|parallel_test|plan_test|fuzz_test|simd_test|stream_test)')

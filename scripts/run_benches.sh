@@ -29,8 +29,8 @@
 #                 this shell glob against the binary name, e.g. 'p8*'.
 #   repetitions   when > 1, run each benchmark this many times and record
 #                 only the mean/median/stddev/cv aggregates in the JSON —
-#                 use for comparison benches (e.g. p9's batched vs
-#                 per-graph ratio) where a single run on a loaded box is
+#                 use for comparison benches (e.g. p9's batch-32 vs
+#                 batch-1 ratio) where a single run on a loaded box is
 #                 too noisy to check in. Default 1 (raw single runs).
 #                 google-benchmark writes the cv of an all-zero counter
 #                 as a bare NaN, which is not JSON; it is recorded as
@@ -48,7 +48,7 @@ if [ "$reps" -gt 1 ]; then
 fi
 
 cmake -B build -S . >/dev/null
-cmake --build build -j >/dev/null
+cmake --build build -j"$(nproc)" >/dev/null
 
 git_sha="$(git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)"
 if ! git diff --quiet HEAD 2>/dev/null; then

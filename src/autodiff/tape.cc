@@ -126,14 +126,6 @@ ValueId Tape::ConcatCols(ValueId a, ValueId b) {
   return Push(std::move(n));
 }
 
-ValueId Tape::ColSums(ValueId a) {
-  Node n;
-  n.op = Op::kColSums;
-  n.a = a;
-  n.value = nodes_[a].value.ColSums();
-  return Push(std::move(n));
-}
-
 ValueId Tape::SegmentSum(ValueId a, std::vector<size_t> offsets) {
   Node n;
   n.op = Op::kSegmentSum;
@@ -325,12 +317,6 @@ void Tape::Backward(ValueId root) {
           for (size_t j = 0; j < gb.cols(); ++j)
             gb.At(i, j) += g.At(i, da + j);
         }
-        break;
-      }
-      case Op::kColSums: {
-        Matrix& ga = nodes_[n.a].grad;
-        for (size_t i = 0; i < ga.rows(); ++i)
-          for (size_t j = 0; j < ga.cols(); ++j) ga.At(i, j) += g.At(0, j);
         break;
       }
       case Op::kSegmentSum: {

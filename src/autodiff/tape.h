@@ -70,13 +70,12 @@ class Tape {
   ValueId AddRowBroadcast(ValueId a, ValueId bias);
   /// [a | b] column concatenation.
   ValueId ConcatCols(ValueId a, ValueId b);
-  /// Column sums: n x d -> 1 x d.
-  ValueId ColSums(ValueId a);
   /// Per-segment column sums (batched readout): rows
   /// [offsets[s], offsets[s+1]) of `a` reduce to output row s. `offsets`
   /// must be non-decreasing with offsets.front() == 0 and offsets.back()
   /// == a's row count; empty segments yield zero rows. Row s of the
-  /// result carries the same bits as ColSums of that block alone.
+  /// result carries the same bits as Matrix::ColSums of that block alone,
+  /// so a single segment {0, n} is the whole-matrix column sum.
   ValueId SegmentSum(ValueId a, std::vector<size_t> offsets);
   /// Matrix product whose forward value is exactly MatMul(a, b), but
   /// whose backward pass accumulates b's gradient one row segment of `a`
@@ -85,7 +84,9 @@ class Tape {
   /// the accumulated parameter gradient bit-identical to running the
   /// per-segment (per-graph) tapes one after another — the floating-point
   /// association matches, not just the real-number sum (DESIGN.md
-  /// "Batched execution").
+  /// "Batched execution"). Over one segment {0, n} every bit, gradients
+  /// included, is MatMul's, which is why a single graph trains as a
+  /// batch of one.
   ValueId MatMulSegments(ValueId a, ValueId b, std::vector<size_t> offsets);
   /// AddRowBroadcast whose backward accumulates the bias gradient one
   /// row segment at a time (per-segment column sums added whole), the
@@ -120,7 +121,6 @@ class Tape {
     kAct,
     kAddRowBroadcast,
     kConcatCols,
-    kColSums,
     kSegmentSum,
     kMatMulSegments,
     kAddRowBroadcastSegments,

@@ -59,8 +59,6 @@ const char* PlanOpKindName(PlanOpKind kind) {
       return "fused_layer";
     case PlanOpKind::kGinCombine:
       return "gin_combine";
-    case PlanOpKind::kPoolReadout:
-      return "pool_readout";
   }
   return "?";
 }
@@ -171,15 +169,6 @@ std::string Plan::ToString() const {
         os << " " << FormatDouble(op.scale) << " " << PlanCsrName(op.csr)
            << " %" << op.inputs[0];
         break;
-      case PlanOpKind::kPoolReadout: {
-        os << " " << AggKindName(op.agg) << " %" << op.inputs[0] << " "
-           << ShapeString(*op.weight);
-        if (op.bias != nullptr) os << " +bias";
-        if (op.act != Activation::kIdentity) {
-          os << " act=" << ActivationName(op.act);
-        }
-        break;
-      }
     }
     os << " : " << (op.type.per_vertex ? "vertex[" : "global[")
        << op.type.dim << "]\n";

@@ -8,8 +8,8 @@
 // share one slot (the compiler value-numbers emissions — CSE).
 //
 // The IR is deliberately tiny: a handful of structured ops the optimizer
-// understands and can fuse (kFusedLayer / kGinCombine / kPoolReadout are
-// the fused forms executed by tensor/fused.h in one CSR-row pass), plus
+// understands and can fuse (kFusedLayer / kGinCombine are the fused
+// forms executed by tensor/fused.h in one CSR-row pass), plus
 // opaque escape hatches (kPointwise, opaque-theta aggregation) that run
 // the original Ω/Θ closures row by row, so any lowerable expression
 // executes — optimization never changes which expressions compile.
@@ -63,7 +63,6 @@ enum class PlanOpKind : uint8_t {
   kPool,         // θ over all n rows (global aggregation) -> global
   kFusedLayer,   // act(Σ_i arg_i(v) W_i + b), aggregations inlined
   kGinCombine,   // scale * x(v) + Σ_{u in N(v)} x(u), one CSR pass
-  kPoolReadout,  // act(pool(x) W + b), pool fused with the readout map
 };
 
 /// Value type of a slot: a per-vertex table (n rows) or a global row.
@@ -107,8 +106,7 @@ struct PlanOp {
   PlanCsr csr = PlanCsr::kOut;           // kNeighborAgg, kGinCombine
   PlanGather gather = PlanGather::kNeighbor;  // kNeighborAgg, kPool
   std::vector<PlanLayerArg> args;        // kFusedLayer
-  std::shared_ptr<const Matrix> weight;  // kPoolReadout
-  std::shared_ptr<const Matrix> bias;    // kFusedLayer, kPoolReadout
+  std::shared_ptr<const Matrix> bias;    // kFusedLayer
 };
 
 const char* PlanOpKindName(PlanOpKind kind);

@@ -63,7 +63,6 @@ uint64_t HashOp(const PlanOp& op) {
     h = HashCombine(h, static_cast<uint64_t>(a.csr));
     h = HashCombine(h, static_cast<uint64_t>(a.gather));
   }
-  h = HashCombine(h, HashMatrix(op.weight.get()));
   return HashCombine(h, HashMatrix(op.bias.get()));
 }
 
@@ -100,8 +99,7 @@ bool SameOp(const PlanOp& a, const PlanOp& b) {
       return false;
     }
   }
-  return SameMatrix(a.weight.get(), b.weight.get()) &&
-         SameMatrix(a.bias.get(), b.bias.get());
+  return SameMatrix(a.bias.get(), b.bias.get());
 }
 
 // -- Lowering ----------------------------------------------------------------
@@ -413,8 +411,7 @@ void FuseActivation(Plan* plan, CompileStats* stats,
     if (op.kind != PlanOpKind::kActivation) continue;
     uint32_t in = op.inputs[0];
     PlanOp& prev = plan->ops[in];
-    if ((prev.kind != PlanOpKind::kFusedLayer &&
-         prev.kind != PlanOpKind::kPoolReadout) ||
+    if (prev.kind != PlanOpKind::kFusedLayer ||
         prev.act != Activation::kIdentity || uses[in] != 1) {
       continue;
     }
@@ -479,35 +476,6 @@ void FuseGin(Plan* plan, CompileStats* stats) {
   }
 }
 
-// fused_layer over a single-use global pool -> pool_readout: the pooled
-// row is produced and consumed in one op (segment-pool fused with the
-// readout map), with identical pool-then-fold bits.
-void FusePoolReadout(Plan* plan, CompileStats* stats) {
-  std::vector<uint32_t> uses = UseCounts(*plan);
-  for (PlanOp& op : plan->ops) {
-    if (op.kind != PlanOpKind::kFusedLayer || op.args.size() != 1 ||
-        op.args[0].aggregated || op.type.per_vertex) {
-      continue;
-    }
-    const PlanOp& in = plan->ops[op.args[0].input];
-    if (in.kind != PlanOpKind::kPool || in.agg == ThetaAgg::Kind::kOpaque ||
-        uses[op.args[0].input] != 1) {
-      continue;
-    }
-    PlanOp fused;
-    fused.kind = PlanOpKind::kPoolReadout;
-    fused.type = op.type;
-    fused.inputs = {in.inputs[0]};
-    fused.agg = in.agg;
-    fused.gather = in.gather;
-    fused.weight = op.args[0].w;
-    fused.bias = op.bias;
-    fused.act = op.act;
-    op = std::move(fused);
-    ++stats->readout_fusions;
-  }
-}
-
 // Drops ops unreachable from the result and renumbers the survivors.
 void EliminateDeadOps(Plan* plan, const std::vector<uint32_t>& remap) {
   // Resolve the activation-fusion remap first so liveness follows it.
@@ -558,7 +526,6 @@ void Optimize(Plan* plan, CompileStats* stats) {
   EliminateDeadOps(plan, remap);
   AbsorbAggregates(plan, stats);
   FuseGin(plan, stats);
-  FusePoolReadout(plan, stats);
   std::vector<uint32_t> identity(plan->ops.size());
   for (size_t i = 0; i < identity.size(); ++i) {
     identity[i] = static_cast<uint32_t>(i);

@@ -13,7 +13,9 @@
 //   4. Rewrite passes fuse the layer pipeline: label coalescing,
 //      activation fusion, aggregate absorption into linear layers (one
 //      CSR-row pass, no n x d aggregate temporary), GIN combine fusion,
-//      pool+readout fusion, then dead-code elimination.
+//      then dead-code elimination. A readout stays a `pool` followed by a
+//      global `fused_layer`: a fused pool-and-map op would run the same
+//      two kernels.
 //
 // Lowering is partial by design: expressions outside the plannable
 // fragment (pair tables, multi-variable binders, non-edge guards, opaque
@@ -56,7 +58,6 @@ struct CompileStats {
   size_t activation_fusions = 0;
   size_t aggregate_absorptions = 0;
   size_t gin_fusions = 0;
-  size_t readout_fusions = 0;
 };
 
 /// Compiles `e` (closed or single-free-variable) into a plan.

@@ -94,9 +94,6 @@ class SlotBuffers {
     shapes.reserve(plan.ops.size());
     for (const PlanOp& op : plan.ops) {
       shapes.emplace_back(op.type.per_vertex ? n : 1, op.type.dim);
-      if (op.kind == PlanOpKind::kPoolReadout) {
-        shapes.emplace_back(1, op.weight->rows());  // the pooled row
-      }
     }
     std::erase_if(carried_, [&shapes](const Matrix& m) {
       auto it = std::find(shapes.begin(), shapes.end(),
@@ -338,21 +335,6 @@ Result<Matrix> ExecutePlan(const Plan& plan, const Graph& g) {
         Matrix out = buffers.Take(n, dim, false);
         FusedGinCombineInto(CsrOf(g, op.csr), slots[op.inputs[0]], op.scale,
                             &out);
-        slots[i] = std::move(out);
-        break;
-      }
-      case PlanOpKind::kPoolReadout: {
-        fused->Increment();
-        const Matrix& values = slots[op.inputs[0]];
-        Matrix pooled = buffers.Take(1, op.weight->rows(), false);
-        PoolRowsInto(values, FusedAggOf(op.agg), n,
-                     op.gather == PlanGather::kBroadcast, &pooled);
-        FusedLayerArg fa;
-        fa.values = &pooled;
-        fa.w = op.weight.get();
-        Matrix out = buffers.Take(1, dim, false);
-        FusedLayerInto(1, {fa}, op.bias.get(), op.act, &out);
-        buffers.Release(std::move(pooled));
         slots[i] = std::move(out);
         break;
       }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <string>
+#include <utility>
 
 #include "base/logging.h"
 #include "obs/metrics.h"
@@ -45,43 +47,9 @@ Result<std::unique_ptr<TrainableGnn>> TrainableGnn::Create(
   return std::unique_ptr<TrainableGnn>(new TrainableGnn(config, &rng));
 }
 
-ValueId TrainableGnn::VertexEmbeddings(Tape* tape, const Graph& g) const {
-  // The graph's cached CSR handle is shared by every tape built over g
-  // during training — no per-step adjacency materialization at all. The
-  // trainers hoist this call and use the CSR overload directly so not
-  // even the cache lookup repeats per epoch.
-  return VertexEmbeddings(tape, g, g.Csr());
-}
-
-ValueId TrainableGnn::VertexEmbeddings(Tape* tape, const Graph& g,
-                                       const CsrGraph& csr) const {
-  GELC_CHECK(g.feature_dim() == config_.widths.front());
-  GELC_CHECK(csr.num_vertices() == g.num_vertices());
-  // Trainers hoist the CSR view across whole epochs; a concurrent
-  // streaming mutation would silently train on stale structure, so pin
-  // the snapshot's epoch against the graph's (debug builds).
-  csr.CheckFreshFor(g);
-  ValueId f = tape->Input(g.features());
-  for (const auto& layer : layers_) {
-    ValueId self = tape->MatMul(f, tape->Param(&layer->w1));
-    ValueId agg = tape->SparseMatMul(&csr.adjacency(), &csr.transpose(), f);
-    ValueId nbr = tape->MatMul(agg, tape->Param(&layer->w2));
-    ValueId pre = tape->AddRowBroadcast(tape->Add(self, nbr),
-                                        tape->Param(&layer->b));
-    f = tape->Act(config_.act, pre);
-  }
-  return f;
-}
-
 ValueId TrainableGnn::VertexEmbeddings(Tape* tape,
                                        const GraphBatch& batch) const {
   GELC_CHECK(batch.feature_dim() == config_.widths.front());
-  // Same layer structure as the single-graph path over the
-  // block-diagonal operators. Message passing cannot cross a block
-  // boundary, so each block of the result is bit-identical to the
-  // standalone forward; the segmented tape ops make the *backward* pass
-  // accumulate layer-parameter gradients one block at a time, matching
-  // per-graph tapes bit-for-bit as well.
   const std::vector<size_t>& offsets = batch.vertex_offsets();
   ValueId f = tape->Input(batch.features());
   for (const auto& layer : layers_) {
@@ -96,23 +64,10 @@ ValueId TrainableGnn::VertexEmbeddings(Tape* tape,
   return f;
 }
 
-ValueId TrainableGnn::NodeLogits(Tape* tape, const Graph& g) const {
-  return NodeLogits(tape, g, g.Csr());
-}
-
-ValueId TrainableGnn::NodeLogits(Tape* tape, const Graph& g,
-                                 const CsrGraph& csr) const {
-  ValueId z = VertexEmbeddings(tape, g, csr);
+ValueId TrainableGnn::NodeLogits(Tape* tape, const GraphBatch& batch) const {
+  ValueId z = VertexEmbeddings(tape, batch);
   return tape->AddRowBroadcast(tape->MatMul(z, tape->Param(head_w_.get())),
                                tape->Param(head_b_.get()));
-}
-
-ValueId TrainableGnn::GraphLogits(Tape* tape, const Graph& g) const {
-  ValueId z = VertexEmbeddings(tape, g);
-  ValueId pooled = tape->ColSums(z);
-  return tape->AddRowBroadcast(
-      tape->MatMul(pooled, tape->Param(head_w_.get())),
-      tape->Param(head_b_.get()));
 }
 
 ValueId TrainableGnn::GraphLogits(Tape* tape, const GraphBatch& batch) const {
@@ -130,15 +85,9 @@ ValueId TrainableGnn::GraphLogits(Tape* tape, const GraphBatch& batch) const {
 }
 
 ValueId TrainableGnn::PairLogits(
-    Tape* tape, const Graph& g,
+    Tape* tape, const GraphBatch& batch,
     const std::vector<std::pair<VertexId, VertexId>>& pairs) const {
-  return PairLogits(tape, g, g.Csr(), pairs);
-}
-
-ValueId TrainableGnn::PairLogits(
-    Tape* tape, const Graph& g, const CsrGraph& csr,
-    const std::vector<std::pair<VertexId, VertexId>>& pairs) const {
-  ValueId z = VertexEmbeddings(tape, g, csr);
+  ValueId z = VertexEmbeddings(tape, batch);
   std::vector<size_t> us, vs;
   us.reserve(pairs.size());
   vs.reserve(pairs.size());
@@ -219,6 +168,63 @@ std::vector<double> RunEpochs(size_t epochs, size_t parts, Optimizer* opt,
   return history;
 }
 
+// The trainers' datasets come from callers, so a malformed one is an
+// InvalidArgument before any model is built: never an index check that
+// aborts inside the tape, nor the NaN loss of an empty split.
+Status CheckBelow(size_t value, size_t limit, const char* what) {
+  if (value < limit) return Status::OK();
+  return Status::InvalidArgument(std::string(what) + " " +
+                                 std::to_string(value) + " not below " +
+                                 std::to_string(limit));
+}
+
+Status ValidateNodeDataset(const NodeDataset& data) {
+  const size_t n = data.graph.num_vertices();
+  if (data.labels.size() != n || data.train_nodes.empty()) {
+    return Status::InvalidArgument(
+        "node dataset needs one label per vertex and a train split");
+  }
+  for (const std::vector<size_t>* split :
+       {&data.train_nodes, &data.test_nodes}) {
+    for (size_t v : *split) {
+      GELC_RETURN_NOT_OK(CheckBelow(v, n, "node"));
+      GELC_RETURN_NOT_OK(CheckBelow(data.labels[v], data.num_classes, "label"));
+    }
+  }
+  return Status::OK();
+}
+
+Status ValidateGraphDataset(const GraphDataset& data) {
+  if (data.graphs.empty() || data.labels.size() != data.graphs.size()) {
+    return Status::InvalidArgument(
+        "graph dataset needs graphs and one label per graph");
+  }
+  for (size_t label : data.labels) {
+    GELC_RETURN_NOT_OK(CheckBelow(label, data.num_classes, "label"));
+  }
+  return Status::OK();
+}
+
+Status ValidateLinkDataset(const LinkDataset& data) {
+  const size_t n = data.graph.num_vertices();
+  if (data.train_pairs.empty()) {
+    return Status::InvalidArgument("empty link dataset");
+  }
+  for (const auto& [pairs, labels] :
+       {std::pair{&data.train_pairs, &data.train_labels},
+        std::pair{&data.test_pairs, &data.test_labels}}) {
+    if (labels->size() != pairs->size()) {
+      return Status::InvalidArgument("link dataset needs one label per pair");
+    }
+    for (size_t i = 0; i < pairs->size(); ++i) {
+      GELC_RETURN_NOT_OK(CheckBelow((*pairs)[i].first, n, "pair endpoint"));
+      GELC_RETURN_NOT_OK(CheckBelow((*pairs)[i].second, n, "pair endpoint"));
+      GELC_RETURN_NOT_OK(CheckBelow((*labels)[i], 2, "link label"));
+    }
+  }
+  return Status::OK();
+}
+
 double Accuracy(const std::vector<size_t>& pred,
                 const std::vector<size_t>& truth) {
   GELC_CHECK(pred.size() == truth.size());
@@ -233,6 +239,7 @@ double Accuracy(const std::vector<size_t>& pred,
 
 Result<TrainReport> TrainNodeClassifier(const NodeDataset& data,
                                         const TrainOptions& options) {
+  GELC_RETURN_NOT_OK(ValidateNodeDataset(data));
   TrainableGnn::Config cfg;
   cfg.widths = WidthsFor(data.graph.feature_dim(), options.hidden_widths);
   cfg.num_outputs = data.num_classes;
@@ -245,14 +252,14 @@ Result<TrainReport> TrainNodeClassifier(const NodeDataset& data,
   std::vector<size_t> train_labels;
   for (size_t v : data.train_nodes) train_labels.push_back(data.labels[v]);
 
-  // One CSR lookup for the whole run: every epoch tape (and the eval
-  // tape) reuses this view instead of re-querying Graph::Csr().
-  const CsrGraph& csr = data.graph.Csr();
+  // The graph is a batch of one, packed once: every epoch tape and the
+  // evaluation tape read its operators.
+  GELC_ASSIGN_OR_RETURN(GraphBatch batch, GraphBatch::Create({&data.graph}));
 
   TrainReport report;
   report.loss_history = RunEpochs(
       options.epochs, 1, &opt, [&](Tape* tape, size_t, double* epoch_loss) {
-        ValueId logits = model->NodeLogits(tape, data.graph, csr);
+        ValueId logits = model->NodeLogits(tape, batch);
         ValueId loss = tape->SoftmaxCrossEntropy(
             tape->GatherRows(logits, data.train_nodes), train_labels);
         *epoch_loss = tape->value(loss).At(0, 0);
@@ -261,7 +268,7 @@ Result<TrainReport> TrainNodeClassifier(const NodeDataset& data,
 
   // Evaluation pass.
   Tape tape;
-  ValueId logits = model->NodeLogits(&tape, data.graph, csr);
+  ValueId logits = model->NodeLogits(&tape, batch);
   std::vector<size_t> pred = RowArgmax(tape.value(logits));
   std::vector<size_t> train_pred, test_pred, test_labels;
   for (size_t v : data.train_nodes) train_pred.push_back(pred[v]);
@@ -277,9 +284,7 @@ Result<TrainReport> TrainNodeClassifier(const NodeDataset& data,
 Result<TrainReport> TrainGraphClassifier(const GraphDataset& data,
                                          const TrainOptions& options,
                                          double train_fraction) {
-  if (data.graphs.empty()) {
-    return Status::InvalidArgument("empty dataset");
-  }
+  GELC_RETURN_NOT_OK(ValidateGraphDataset(data));
   TrainableGnn::Config cfg;
   cfg.widths = WidthsFor(data.graphs[0].feature_dim(), options.hidden_widths);
   cfg.num_outputs = data.num_classes;
@@ -346,7 +351,7 @@ Result<TrainReport> TrainGraphClassifier(const GraphDataset& data,
       });
 
   // Batched evaluation: one forward over the whole dataset; row i of the
-  // logits is bit-identical to the per-graph forward of graph i.
+  // logits is bit-identical to graph i's forward as a batch of one.
   std::vector<const Graph*> all_graphs;
   all_graphs.reserve(data.graphs.size());
   for (const Graph& g : data.graphs) all_graphs.push_back(&g);
@@ -372,9 +377,7 @@ Result<TrainReport> TrainGraphClassifier(const GraphDataset& data,
 
 Result<TrainReport> TrainLinkPredictor(const LinkDataset& data,
                                        const TrainOptions& options) {
-  if (data.train_pairs.empty()) {
-    return Status::InvalidArgument("empty link dataset");
-  }
+  GELC_RETURN_NOT_OK(ValidateLinkDataset(data));
   TrainableGnn::Config cfg;
   cfg.widths = WidthsFor(data.graph.feature_dim(), options.hidden_widths);
   cfg.num_outputs = 2;
@@ -384,14 +387,14 @@ Result<TrainReport> TrainLinkPredictor(const LinkDataset& data,
   Adam opt(options.learning_rate);
   for (Parameter* p : model->Parameters()) opt.Register(p);
 
-  // One CSR lookup for the whole run (see TrainNodeClassifier).
-  const CsrGraph& csr = data.graph.Csr();
+  // One pack for the whole run (see TrainNodeClassifier).
+  GELC_ASSIGN_OR_RETURN(GraphBatch batch, GraphBatch::Create({&data.graph}));
 
   TrainReport report;
   report.loss_history = RunEpochs(
       options.epochs, 1, &opt, [&](Tape* tape, size_t, double* epoch_loss) {
         ValueId loss = tape->SoftmaxCrossEntropy(
-            model->PairLogits(tape, data.graph, csr, data.train_pairs),
+            model->PairLogits(tape, batch, data.train_pairs),
             data.train_labels);
         *epoch_loss = tape->value(loss).At(0, 0);
         return loss;
@@ -400,7 +403,7 @@ Result<TrainReport> TrainLinkPredictor(const LinkDataset& data,
   auto eval = [&](const std::vector<std::pair<VertexId, VertexId>>& pairs,
                   const std::vector<size_t>& labels) {
     Tape tape;
-    ValueId logits = model->PairLogits(&tape, data.graph, csr, pairs);
+    ValueId logits = model->PairLogits(&tape, batch, pairs);
     return Accuracy(RowArgmax(tape.value(logits)), labels);
   };
   report.train_accuracy = eval(data.train_pairs, data.train_labels);

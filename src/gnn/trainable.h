@@ -40,37 +40,26 @@ class TrainableGnn {
 
   static Result<std::unique_ptr<TrainableGnn>> Create(const Config& config);
 
-  /// Builds the message-passing forward pass on `tape`; returns the
-  /// n x hidden vertex embedding node.
-  ValueId VertexEmbeddings(Tape* tape, const Graph& g) const;
-  /// Same forward pass over a caller-held CSR view of `g` — the epoch
-  /// loops hoist `g.Csr()` once and pass it back in so no per-epoch
-  /// cache lookup happens. `csr` must be (or match) g.Csr() and must
-  /// outlive the tape.
-  ValueId VertexEmbeddings(Tape* tape, const Graph& g,
-                           const CsrGraph& csr) const;
-  /// Batched forward over a block-diagonal GraphBatch: one set of kernel
-  /// launches yields a num_vertices x hidden embedding matrix whose
-  /// per-graph blocks are bit-identical to the single-graph path. Layer
-  /// parameter gradients accumulate segment-grouped (Tape::
-  /// MatMulSegments), so a batched backward pass also matches per-graph
-  /// tapes bit-for-bit. `batch` must outlive the tape.
+  /// Every forward runs over a GraphBatch: a single graph is a batch of
+  /// one (GraphBatch::Create({&g})), so node, link and graph tasks share
+  /// one forward. `batch` must outlive the tape.
+  ///
+  /// Builds the message-passing forward pass over the block-diagonal
+  /// operators; returns the num_vertices x hidden embedding node. Message
+  /// passing cannot cross a block boundary, so block i is graph i's
+  /// embedding alone. Layer parameter gradients accumulate one block at
+  /// a time (Tape::MatMulSegments), so a batch of k has the bits of k
+  /// batches of one run back to back.
   ValueId VertexEmbeddings(Tape* tape, const GraphBatch& batch) const;
-  /// Vertex embeddings followed by the linear head: n x num_outputs.
-  ValueId NodeLogits(Tape* tape, const Graph& g) const;
-  ValueId NodeLogits(Tape* tape, const Graph& g, const CsrGraph& csr) const;
-  /// Sum-pooled embeddings followed by the head: 1 x num_outputs.
-  ValueId GraphLogits(Tape* tape, const Graph& g) const;
-  /// Batched graph logits: row i holds graph i's 1 x num_outputs logits
-  /// (sum-pooled per segment), bit-identical to GraphLogits on graph i
-  /// alone.
+  /// Vertex embeddings followed by the linear head: num_vertices x
+  /// num_outputs.
+  ValueId NodeLogits(Tape* tape, const GraphBatch& batch) const;
+  /// Sum-pooled embeddings followed by the head: row i holds graph i's
+  /// 1 x num_outputs logits.
   ValueId GraphLogits(Tape* tape, const GraphBatch& batch) const;
   /// Pairwise head for link prediction: |pairs| x num_outputs logits from
-  /// [z_u | z_v | z_u ⊙ z_v].
-  ValueId PairLogits(Tape* tape, const Graph& g,
-                     const std::vector<std::pair<VertexId, VertexId>>& pairs)
-      const;
-  ValueId PairLogits(Tape* tape, const Graph& g, const CsrGraph& csr,
+  /// [z_u | z_v | z_u ⊙ z_v]; u and v are batch vertex rows.
+  ValueId PairLogits(Tape* tape, const GraphBatch& batch,
                      const std::vector<std::pair<VertexId, VertexId>>& pairs)
       const;
 
@@ -104,10 +93,10 @@ struct TrainOptions {
   std::vector<size_t> hidden_widths = {16, 16};
   uint64_t seed = 7;
   /// Graph-classification minibatch size: each epoch builds one tape per
-  /// GraphBatch of up to this many training graphs. 0 packs the whole
-  /// training split into a single batch, which reproduces the historical
-  /// per-graph epoch gradient bit-for-bit (sum-of-gradients semantics,
-  /// one optimizer step per epoch — see DESIGN.md "Batched execution").
+  /// GraphBatch of up to this many training graphs. Every size takes one
+  /// optimizer step per epoch on the sum of the per-graph gradients; 0
+  /// packs the whole training split into a single batch (DESIGN.md
+  /// "Batched execution").
   size_t batch_size = 0;
 };
 

@@ -17,10 +17,11 @@
 //                            map of vertex_offsets())
 //
 // The per-graph readout over a batch-wide matrix is a segment reduction
-// (tensor/segment.h, Tape::SegmentSum/Mean/Max). Batched results are
-// bit-identical per graph to the single-graph path — see DESIGN.md
-// "Batched execution" for the contract and tests/batch_test.cc for the
-// differential suite that pins it.
+// (tensor/segment.h, Tape::SegmentSum). A single graph is a batch of one,
+// so every training forward (gnn/trainable.h) runs over a GraphBatch, and
+// a batch of k is bit-identical per graph to k batches of one — see
+// DESIGN.md "Batched execution" for the contract and tests/batch_test.cc
+// for the differential suite that pins it.
 #ifndef GELC_GRAPH_BATCH_H_
 #define GELC_GRAPH_BATCH_H_
 

@@ -53,7 +53,8 @@ class CsrGraph {
   uint64_t epoch() const { return epoch_; }
   /// DCHECKs that `g` has not been mutated since this snapshot was built.
   /// Call at the top of any scope that hoists a Csr() reference across
-  /// work that could interleave with graph mutations (trainers do).
+  /// work that could interleave with graph mutations. The trainers do not
+  /// hoist one: they pack a GraphBatch, which copies the operators.
   void CheckFreshFor(const Graph& g) const;
 
  private:

@@ -100,9 +100,9 @@ class Graph {
   /// a fresh build, so the returned reference always reflects the current
   /// structure. A reference taken before a mutation stays readable (it
   /// shows the old structure) until that rebuild frees it. Holders
-  /// hoisting the reference across other work should CheckFreshFor() it
-  /// (trainers do). Like all mutating-on-first-use paths, Csr() is not
-  /// thread-safe; call it once before sharing the graph across shards.
+  /// hoisting the reference across other work should CheckFreshFor() it.
+  /// Like all mutating-on-first-use paths, Csr() is not thread-safe; call
+  /// it once before sharing the graph across shards.
   const CsrGraph& Csr() const;
 
   /// Number of successful AddEdge/RemoveEdge mutations so far; CsrGraph

@@ -8,10 +8,10 @@
 #include "core/compile_gnn.h"
 #include "core/eval.h"
 #include "gnn/fgnn.h"
-#include "graph/isomorphism.h"
 #include "hom/hom_count.h"
 #include "hom/trees.h"
 #include "wl/color_refinement.h"
+#include "wl/isomorphism.h"
 #include "wl/kwl.h"
 
 namespace gelc {

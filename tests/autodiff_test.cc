@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <functional>
+#include <utility>
+#include <vector>
 
 #include "autodiff/optimizer.h"
 #include "autodiff/tape.h"
@@ -48,7 +50,6 @@ TEST(TapeTest, ForwardValuesMatchMatrixOps) {
   EXPECT_EQ(tape.value(tape.MatMul(ia, ib)), a.MatMul(b));
   EXPECT_EQ(tape.value(tape.Hadamard(ia, ib)), a.Hadamard(b));
   EXPECT_EQ(tape.value(tape.Scale(ia, 3.0)), a * 3.0);
-  EXPECT_EQ(tape.value(tape.ColSums(ia)), a.ColSums());
   EXPECT_EQ(tape.value(tape.ConcatCols(ia, ib)), a.ConcatCols(b));
 }
 
@@ -286,6 +287,58 @@ TEST(TapeTest, SegmentedMatMulAndBiasMatchPlainOps) {
   auto [gw_plain, gb_plain] = grads_of(false);
   EXPECT_TRUE(gw_seg.AllClose(gw_plain, 1e-12));
   EXPECT_TRUE(gb_seg.AllClose(gb_plain, 1e-12));
+}
+
+// A single graph trains as a batch of one, whose offsets are {0, n}. Over
+// one segment the segment ops must carry the bits of the plain ops they
+// replace: MatMulSegments of MatMul, AddRowBroadcastSegments of
+// AddRowBroadcast, SegmentSum of Matrix::ColSums. Sum pooling on the plain
+// side is the product with the all-ones row, whose cells add 1.0 * h[k][j]
+// (exact) in ascending k from zero, the ColSums chain. The inputs are
+// Parameters, so every gradient that reaches a leaf is compared. 37 x 5
+// runs MatMul serially; 1200 x 16 into 16 outputs is above the serial
+// threshold of either SIMD tier, so with a pool the plain products shard.
+TEST(TapeTest, OneSegmentOpsMatchPlainOpsBitForBit) {
+  for (auto [n, din] : {std::pair<size_t, size_t>{37, 5}, {1200, 16}}) {
+    const size_t dout = 16;
+    Rng rng(59);
+    Parameter x(Matrix::RandomGaussian(n, din, 1.0, &rng));
+    Parameter w(Matrix::RandomGaussian(din, dout, 0.5, &rng));
+    Parameter b(Matrix::RandomGaussian(1, dout, 0.5, &rng));
+    Matrix rows_target = Matrix::RandomGaussian(n, dout, 1.0, &rng);
+    Matrix pool_target = Matrix::RandomGaussian(1, dout, 1.0, &rng);
+    const std::vector<size_t> offsets = {0, n};
+
+    struct Run {
+      Matrix product, biased, pooled, gx, gw, gb;
+    };
+    auto run = [&](bool segmented) {
+      for (Parameter* p : {&x, &w, &b}) p->ZeroGrad();
+      Tape t;
+      ValueId ix = t.Param(&x);
+      ValueId product = segmented
+                            ? t.MatMulSegments(ix, t.Param(&w), offsets)
+                            : t.MatMul(ix, t.Param(&w));
+      ValueId biased =
+          segmented ? t.AddRowBroadcastSegments(product, t.Param(&b), offsets)
+                    : t.AddRowBroadcast(product, t.Param(&b));
+      ValueId pooled =
+          segmented ? t.SegmentSum(biased, offsets)
+                    : t.MatMul(t.Input(Matrix(1, n, 1.0)), biased);
+      t.Backward(t.Add(t.Mse(biased, rows_target), t.Mse(pooled, pool_target)));
+      return Run{t.value(product), t.value(biased), t.value(pooled),
+                 x.grad, w.grad, b.grad};
+    };
+    Run plain = run(false);
+    Run seg = run(true);
+    EXPECT_EQ(seg.product, plain.product) << n;
+    EXPECT_EQ(seg.biased, plain.biased) << n;
+    EXPECT_EQ(seg.pooled, seg.biased.ColSums()) << n;
+    EXPECT_EQ(seg.pooled, plain.pooled) << n;
+    EXPECT_EQ(seg.gx, plain.gx) << n;
+    EXPECT_EQ(seg.gw, plain.gw) << n;
+    EXPECT_EQ(seg.gb, plain.gb) << n;
+  }
 }
 
 TEST(SgdTest, ConvergesOnQuadratic) {

@@ -3,6 +3,9 @@
 // models run through their compiled plans (core/compile_gnn.h).
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "base/rng.h"
 #include "core/compile_gnn.h"
 #include "gnn/gnn101.h"
@@ -286,6 +289,76 @@ TEST(TrainableTest, LinkPredictorBeatsChance) {
   ASSERT_TRUE(report.ok());
   EXPECT_GT(report->train_accuracy, 0.7);
   EXPECT_GT(report->test_accuracy, 0.6);
+}
+
+// A malformed dataset is an InvalidArgument from the trainer: no abort
+// inside the tape and no NaN loss. Each case breaks one field of a valid
+// dataset.
+bool RejectedAsInvalid(const Result<TrainReport>& report) {
+  return !report.ok() &&
+         report.status().code() == StatusCode::kInvalidArgument;
+}
+
+TEST(TrainableTest, NodeClassifierRejectsMalformedDataset) {
+  Rng rng(27);
+  const NodeDataset good = SyntheticCitations(30, 3, 0.3, &rng);
+  TrainOptions opt;
+  opt.epochs = 3;
+  ASSERT_TRUE(TrainNodeClassifier(good, opt).ok());
+  std::vector<std::function<void(NodeDataset*)>> breaks = {
+      [](NodeDataset* d) { d->train_nodes.clear(); },
+      [](NodeDataset* d) { d->labels.pop_back(); },
+      [](NodeDataset* d) { d->labels[d->train_nodes[0]] = 7; },
+      [](NodeDataset* d) { d->labels[d->test_nodes[0]] = 3; },
+      [](NodeDataset* d) { d->train_nodes.push_back(1000); },
+      [](NodeDataset* d) { d->test_nodes.push_back(30); },
+  };
+  for (size_t i = 0; i < breaks.size(); ++i) {
+    NodeDataset bad = good;
+    breaks[i](&bad);
+    EXPECT_TRUE(RejectedAsInvalid(TrainNodeClassifier(bad, opt))) << i;
+  }
+}
+
+TEST(TrainableTest, GraphClassifierRejectsMalformedDataset) {
+  Rng rng(29);
+  const GraphDataset good = SyntheticMolecules(10, &rng);
+  TrainOptions opt;
+  opt.epochs = 3;
+  ASSERT_TRUE(TrainGraphClassifier(good, opt).ok());
+  std::vector<std::function<void(GraphDataset*)>> breaks = {
+      [](GraphDataset* d) { d->graphs.clear(); },
+      [](GraphDataset* d) { d->labels.pop_back(); },
+      [](GraphDataset* d) { d->labels.front() = 2; },
+      [](GraphDataset* d) { d->labels.back() = 9; },
+  };
+  for (size_t i = 0; i < breaks.size(); ++i) {
+    GraphDataset bad = good;
+    breaks[i](&bad);
+    EXPECT_TRUE(RejectedAsInvalid(TrainGraphClassifier(bad, opt))) << i;
+  }
+}
+
+TEST(TrainableTest, LinkPredictorRejectsMalformedDataset) {
+  Rng rng(31);
+  const LinkDataset good = SyntheticSocialLinks(40, &rng);
+  TrainOptions opt;
+  opt.epochs = 3;
+  ASSERT_TRUE(TrainLinkPredictor(good, opt).ok());
+  std::vector<std::function<void(LinkDataset*)>> breaks = {
+      [](LinkDataset* d) { d->train_pairs.clear(); },
+      [](LinkDataset* d) { d->train_labels.pop_back(); },
+      [](LinkDataset* d) { d->test_labels.push_back(0); },
+      [](LinkDataset* d) { d->train_pairs[0].first = 40; },
+      [](LinkDataset* d) { d->test_pairs[0].second = 1000; },
+      [](LinkDataset* d) { d->train_labels[0] = 2; },
+      [](LinkDataset* d) { d->test_labels[0] = 5; },
+  };
+  for (size_t i = 0; i < breaks.size(); ++i) {
+    LinkDataset bad = good;
+    breaks[i](&bad);
+    EXPECT_TRUE(RejectedAsInvalid(TrainLinkPredictor(bad, opt))) << i;
+  }
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 #include "base/rng.h"
 #include "graph/generators.h"
 #include "graph/graph6.h"
-#include "graph/isomorphism.h"
+#include "wl/isomorphism.h"
 
 namespace gelc {
 namespace {

@@ -8,7 +8,7 @@
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/io.h"
-#include "graph/isomorphism.h"
+#include "wl/isomorphism.h"
 
 namespace gelc {
 namespace {

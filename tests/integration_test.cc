@@ -10,13 +10,13 @@
 #include "core/normal_form.h"
 #include "gnn/gnn101.h"
 #include "graph/generators.h"
-#include "graph/isomorphism.h"
 #include "hom/hom_count.h"
 #include "hom/trees.h"
 #include "logic/gml.h"
 #include "logic/gml_to_gnn.h"
 #include "separation/oracles.h"
 #include "wl/color_refinement.h"
+#include "wl/isomorphism.h"
 #include "wl/kwl.h"
 
 namespace gelc {

@@ -285,16 +285,31 @@ TEST(PlanFusionTest, GinCombineFusesScaleAddAndAggregate) {
       << plan->ToString();
 }
 
-TEST(PlanFusionTest, ReadoutFusesPoolIntoFinalMap) {
+// A readout is a global pool whose only user is a global fused layer:
+// the readout map with its bias and activation, run on the pooled row.
+TEST(PlanFusionTest, ReadoutIsPoolThenGlobalFusedLayer) {
   Rng rng(9);
   Gnn101Model model =
       *Gnn101Model::Random({kFeatureDim, 4, 4}, Activation::kReLU, 0.5, &rng);
-  CompileStats stats;
-  PlanPtr plan =
-      *CompileToPlan(*CompileGnn101GraphToGel(model), PlanOptions{}, &stats);
-  EXPECT_GE(stats.readout_fusions, 1u);
-  EXPECT_NE(plan->ToString().find("pool_readout"), std::string::npos)
-      << plan->ToString();
+  PlanPtr plan = *CompileToPlan(*CompileGnn101GraphToGel(model));
+  const PlanOp& head = plan->ops[plan->result];
+  ASSERT_EQ(head.kind, PlanOpKind::kFusedLayer) << plan->ToString();
+  EXPECT_FALSE(head.type.per_vertex);
+  ASSERT_EQ(head.args.size(), 1u);
+  EXPECT_FALSE(head.args[0].aggregated);
+  EXPECT_EQ(*head.args[0].w, model.readout().w);
+  ASSERT_NE(head.bias, nullptr);
+  EXPECT_EQ(*head.bias, model.readout().b);
+  EXPECT_EQ(head.act, model.readout().act);
+  const uint32_t pool = head.args[0].input;
+  EXPECT_EQ(plan->ops[pool].kind, PlanOpKind::kPool) << plan->ToString();
+  EXPECT_EQ(plan->ops[pool].agg, ThetaAgg::Kind::kSum);
+  size_t pool_users = 0;
+  for (const PlanOp& op : plan->ops) {
+    for (uint32_t in : op.inputs) pool_users += in == pool;
+    for (const PlanLayerArg& a : op.args) pool_users += a.input == pool;
+  }
+  EXPECT_EQ(pool_users, 1u) << plan->ToString();
 }
 
 TEST(PlanFusionTest, LabelLoadsCoalesceIntoOneCopy) {

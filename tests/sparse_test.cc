@@ -15,6 +15,7 @@
 #include "base/rng.h"
 #include "core/compile_gnn.h"
 #include "gnn/trainable.h"
+#include "graph/batch.h"
 #include "graph/csr.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
@@ -293,8 +294,9 @@ TEST(DenseFreeHotPathTest, ForwardAndTrainingNeverDensifyAdjacency) {
   TrainableGnn::Config cfg;
   cfg.widths = {1, 8};
   auto model = TrainableGnn::Create(cfg).value();
+  GraphBatch one = GraphBatch::Create({&g}).value();
   Tape tape;
-  ValueId logits = model->GraphLogits(&tape, g);
+  ValueId logits = model->GraphLogits(&tape, one);
   ValueId loss = tape.SoftmaxCrossEntropy(logits, {0});
   tape.Backward(loss);
 
@@ -314,9 +316,10 @@ uint64_t CounterFromSnapshot(const char* name) {
   return 0;
 }
 
-// The trainers hoist Graph::Csr() once before their epoch loops, so a
-// whole training run costs exactly one cache lookup (a hit, after the
-// prewarm below) and zero rebuilds — not one lookup per epoch.
+// The trainers pack their graph as a batch of one before their epoch
+// loops, and GraphBatch::Create reads Graph::Csr() once, so a whole
+// training run costs exactly one cache lookup (a hit, after the prewarm
+// below) and zero rebuilds — not one lookup per epoch.
 TEST(CsrCacheTest, TrainersQueryTheCsrCacheOncePerRun) {
   obs::SetMetricsEnabled(true);
   Rng rng(53);

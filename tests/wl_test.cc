@@ -7,10 +7,10 @@
 
 #include "base/rng.h"
 #include "graph/generators.h"
-#include "graph/isomorphism.h"
 #include "graph/relational.h"
 #include "wl/color_refinement.h"
 #include "wl/incremental.h"
+#include "wl/isomorphism.h"
 #include "wl/kwl.h"
 
 namespace gelc {

@@ -66,11 +66,11 @@ int Run(bool optimize, size_t exec_n, const std::string& text) {
   std::printf(
       "\nops: %zu -> %zu  cse: %zu  guard pushdowns: %zu  label "
       "coalesces: %zu  activation fusions: %zu  aggregate absorptions: "
-      "%zu  gin fusions: %zu  readout fusions: %zu\n",
+      "%zu  gin fusions: %zu\n",
       stats.ops_before_opt, stats.ops_after_opt, stats.cse_hits,
       stats.guard_pushdowns, stats.label_coalesces,
       stats.activation_fusions, stats.aggregate_absorptions,
-      stats.gin_fusions, stats.readout_fusions);
+      stats.gin_fusions);
 
   if (exec_n == 0) return 0;
 
