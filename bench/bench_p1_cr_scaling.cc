@@ -1,6 +1,7 @@
 // P1: color refinement cost as a function of graph size and density, plus
 // the interning-ablation noted in DESIGN.md (joint 2-graph refinement vs
-// single-graph refinement measures the shared-interner overhead).
+// single-graph refinement measures the shared-interner overhead). Every
+// benchmark times wall clock (UseRealTime), as BENCH_p1.json records it.
 #include <benchmark/benchmark.h>
 
 #include "base/rng.h"
@@ -20,7 +21,8 @@ void BM_ColorRefinementSize(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_ColorRefinementSize)->RangeMultiplier(2)->Range(32, 512)
-    ->Complexity(benchmark::oNLogN);
+    ->Complexity(benchmark::oNLogN)
+    ->UseRealTime();
 
 void BM_ColorRefinementDensity(benchmark::State& state) {
   Rng rng(7);
@@ -31,7 +33,8 @@ void BM_ColorRefinementDensity(benchmark::State& state) {
     benchmark::DoNotOptimize(c.stable);
   }
 }
-BENCHMARK(BM_ColorRefinementDensity)->Arg(5)->Arg(10)->Arg(20)->Arg(40);
+BENCHMARK(BM_ColorRefinementDensity)->Arg(5)->Arg(10)->Arg(20)->Arg(40)
+    ->UseRealTime();
 
 void BM_ColorRefinementJointPair(benchmark::State& state) {
   Rng rng(7);
@@ -42,7 +45,8 @@ void BM_ColorRefinementJointPair(benchmark::State& state) {
     benchmark::DoNotOptimize(c.stable);
   }
 }
-BENCHMARK(BM_ColorRefinementJointPair)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_ColorRefinementJointPair)->Arg(64)->Arg(128)->Arg(256)
+    ->UseRealTime();
 
 // Worst case for round count: a long path needs ~n/2 rounds.
 void BM_ColorRefinementPathWorstCase(benchmark::State& state) {
@@ -52,7 +56,8 @@ void BM_ColorRefinementPathWorstCase(benchmark::State& state) {
     benchmark::DoNotOptimize(c.rounds);
   }
 }
-BENCHMARK(BM_ColorRefinementPathWorstCase)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_ColorRefinementPathWorstCase)->Arg(64)->Arg(128)->Arg(256)
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace gelc

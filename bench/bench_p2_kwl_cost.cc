@@ -1,6 +1,7 @@
 // P2: folklore k-WL cost versus k — the n^k tuple tables that motivate
 // finding the minimal GEL^k fragment for a method (slide 70: "the lower k
-// the better").
+// the better"). Every benchmark times wall clock (UseRealTime), as
+// BENCH_p2.json records it.
 #include <benchmark/benchmark.h>
 
 #include "base/rng.h"
@@ -19,7 +20,7 @@ void BM_KwlByK(benchmark::State& state) {
     benchmark::DoNotOptimize(c);
   }
 }
-BENCHMARK(BM_KwlByK)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_KwlByK)->Arg(1)->Arg(2)->Arg(3)->UseRealTime();
 
 void BM_Kwl2BySize(benchmark::State& state) {
   Rng rng(7);
@@ -31,7 +32,8 @@ void BM_Kwl2BySize(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_Kwl2BySize)->Arg(8)->Arg(16)->Arg(32)->Arg(64)
-    ->Complexity(benchmark::oNCubed);
+    ->Complexity(benchmark::oNCubed)
+    ->UseRealTime();
 
 void BM_Kwl3OnSrgPair(benchmark::State& state) {
   auto [shrikhande, rook] = Srg16Pair();
@@ -40,7 +42,7 @@ void BM_Kwl3OnSrgPair(benchmark::State& state) {
     benchmark::DoNotOptimize(r);
   }
 }
-BENCHMARK(BM_Kwl3OnSrgPair);
+BENCHMARK(BM_Kwl3OnSrgPair)->UseRealTime();
 
 }  // namespace
 }  // namespace gelc

@@ -22,34 +22,41 @@ IncrementalColorRefiner::IncrementalColorRefiner(const Graph* g,
 }
 
 void IncrementalColorRefiner::ExtendToFixpoint() {
-  Colorings colors = {history_.back()};
-  std::vector<Colorings> rounds;
-  RefineCr({g_}, /*max_rounds=*/-1, &interner_, &colors, &rounds);
-  for (Colorings& round : rounds) {
-    history_.push_back(std::move(round[0]));
+  // One shared-loop round at a time, each into a fresh table, under
+  // RunColorRefinement's stop rule: a round that leaves the distinct
+  // count unchanged is the last.
+  do {
+    Colorings colors = {history_.back()};
+    tables_.emplace_back();
+    RefineCr({g_}, /*max_rounds=*/1, &tables_.back(), &colors, nullptr);
+    history_.push_back(std::move(colors[0]));
     RecountRound(history_.size() - 1);
-  }
+  } while (tables_.back().size() != tables_[tables_.size() - 2].size());
 }
 
 void IncrementalColorRefiner::RecountRound(size_t r) {
-  if (class_counts_.size() <= r) class_counts_.resize(r + 1);
-  if (distinct_.size() <= r) distinct_.resize(r + 1);
-  class_counts_[r].clear();
-  for (uint64_t c : history_[r]) ++class_counts_[r][c];
-  distinct_[r] = class_counts_[r].size();
+  if (counts_.size() <= r) counts_.resize(r + 1);
+  counts_[r].assign(tables_[r].size(), 0);
+  for (uint64_t c : history_[r]) ++counts_[r][c];
+}
+
+size_t IncrementalColorRefiner::interned() const {
+  size_t total = 0;
+  for (const Interner& table : tables_) total += table.size();
+  return total;
 }
 
 void IncrementalColorRefiner::Refresh() {
   static obs::Counter* refreshes = obs::GetCounter("wl.cr.inc.refreshes");
   refreshes->Increment();
   GELC_OBS_SCOPE("wl.cr.inc.refresh", {{"n", g_->num_vertices()}});
-  interner_ = Interner();
   history_.clear();
-  class_counts_.clear();
-  distinct_.clear();
+  tables_.clear();
+  counts_.clear();
   last_recolored_ = 0;
 
-  history_.push_back(InternFeatureRows(g_->features(), &interner_));
+  tables_.emplace_back();
+  history_.push_back(InternFeatureRows(g_->features(), &tables_[0]));
   RecountRound(0);
   ExtendToFixpoint();
 }
@@ -114,6 +121,7 @@ void IncrementalColorRefiner::Update(const std::vector<VertexId>& touched) {
 
     // Re-sign the candidates from the already-patched round r-1 colors,
     // interned in ascending vertex order, then patch round r in place.
+    Interner& table = tables_[r];
     std::vector<uint64_t> ids(candidates.size());
     InternSignatures(
         32,
@@ -124,30 +132,39 @@ void IncrementalColorRefiner::Update(const std::vector<VertexId>& touched) {
                 CrSignature(*g_, history_[r - 1], candidates[i], &words);
           }
         },
-        &interner_, &ids);
+        &table, &ids);
+    std::vector<uint32_t>& counts = counts_[r];
     std::vector<VertexId> dirty_next;
+    std::vector<uint64_t> emptied;
     for (size_t i = 0; i < candidates.size(); ++i) {
       const VertexId v = candidates[i];
       const uint64_t id = ids[i];
       uint64_t& slot = history_[r][v];
       if (id == slot) continue;
-      auto it = class_counts_[r].find(slot);
-      if (--it->second == 0) class_counts_[r].erase(it);
-      ++class_counts_[r][id];
+      if (id >= counts.size()) counts.resize(id + 1, 0);
+      // Only vertices that held a class when the pass began can leave
+      // it, so a class empties at most once per pass.
+      if (--counts[slot] == 0) emptied.push_back(slot);
+      ++counts[id];
       slot = id;
       dirty_next.push_back(v);
       ++recolored;
     }
-    distinct_[r] = class_counts_[r].size();
+    // A later candidate may have interned an emptied class's signature
+    // (its id was assigned before the loop above), so erase only what is
+    // still empty now that the whole round is patched.
+    for (uint64_t id : emptied) {
+      if (counts[id] == 0) table.Erase(id);
+    }
     dirty_prev = std::move(dirty_next);
-    if (distinct_[r] == distinct_[r - 1]) break;
+    if (table.size() == tables_[r - 1].size()) break;
   }
   if (r < history_.size()) {
     // The partition is stable at round r — exactly the from-scratch stop
     // rule. Later stored rounds (if any) are now meaningless.
     history_.resize(r + 1);
-    class_counts_.resize(r + 1);
-    distinct_.resize(r + 1);
+    tables_.resize(r + 1);
+    counts_.resize(r + 1);
   } else {
     // It keeps refining past the old fixpoint: the remaining rounds are
     // exactly the from-scratch ones.

@@ -22,16 +22,18 @@
 // any Refresh/Update sequence, colors() induces the same partition of
 // the vertex set, with the same stable-round count, as a from-scratch
 // RunColorRefinement({&g}) on the current graph. Ids themselves may
-// differ (the persistent interner assigns them in patch order); the
+// differ: every round has its own interner table, which holds exactly
+// that round's live classes, so ids are assigned in patch order and a
+// class that loses its last vertex frees its id for a later one. The
 // partition and the round count are the invariants. Refresh and the
-// full rounds past the old fixpoint run the shared loop of wl/refine.h;
-// the patch pass signs candidates in parallel and interns them serially
-// in ascending order, so results are bit-identical at any thread count.
+// full rounds past the old fixpoint run the shared loop of wl/refine.h
+// one round at a time; the patch pass signs candidates in parallel and
+// interns them serially in ascending order, so results are
+// bit-identical at any thread count.
 #ifndef GELC_WL_INCREMENTAL_H_
 #define GELC_WL_INCREMENTAL_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "base/hash.h"
@@ -51,7 +53,8 @@ class IncrementalColorRefiner {
   IncrementalColorRefiner(const Graph* g, const Options& options);
 
   /// Recomputes the full color history from scratch (also resets the
-  /// interner). Called by the constructor and by Update's fallback path.
+  /// round tables). Called by the constructor and by Update's fallback
+  /// path.
   void Refresh();
 
   /// Patches the color history after a mutation batch. `touched` must
@@ -65,7 +68,10 @@ class IncrementalColorRefiner {
   /// Rounds until stability, matching RunColorRefinement's count.
   size_t rounds() const { return history_.size() - 1; }
   /// Number of distinct stable colors (the CR partition size).
-  size_t partition_size() const { return distinct_.back(); }
+  size_t partition_size() const { return tables_.back().size(); }
+  /// Signatures held over all rounds' tables: exactly the sum of the
+  /// rounds' distinct-color counts, so memory follows the live classes.
+  size_t interned() const;
 
   /// Vertices recolored by the most recent Update (0 after Refresh).
   size_t last_recolored() const { return last_recolored_; }
@@ -74,21 +80,22 @@ class IncrementalColorRefiner {
 
  private:
   // Runs full rounds from the last stored one until the partition is
-  // stable, appending them to the history (Refresh, and Update once the
-  // partition refines past the stored fixpoint).
+  // stable, appending them to the history, each with a fresh table
+  // (Refresh, and Update once the partition refines past the stored
+  // fixpoint).
   void ExtendToFixpoint();
-  // Rebuilds class_counts_[r]/distinct_[r] from history_[r].
+  // Rebuilds counts_[r] from history_[r], whose ids are tables_[r]'s.
   void RecountRound(size_t r);
 
   const Graph* g_;
   Options options_;
-  Interner interner_;
   // history_[r][v] = color of v after round r; round 0 = feature colors.
   std::vector<std::vector<uint64_t>> history_;
-  // class_counts_[r][color] = how many vertices carry `color` at round r
-  // (maintained incrementally; its size is the round's distinct count).
-  std::vector<std::unordered_map<uint64_t, uint32_t>> class_counts_;
-  std::vector<size_t> distinct_;
+  // tables_[r] interns round r's signatures and holds exactly its live
+  // classes, so tables_[r].size() is the round's distinct count.
+  std::vector<Interner> tables_;
+  // counts_[r][id] = how many vertices carry `id` at round r.
+  std::vector<std::vector<uint32_t>> counts_;
   size_t last_recolored_ = 0;
   bool last_was_fallback_ = false;
 };

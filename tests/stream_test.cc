@@ -28,6 +28,7 @@
 #include "base/parallel.h"
 #include "base/rng.h"
 #include "graph/csr.h"
+#include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/update_log.h"
 #include "gtest/gtest.h"
@@ -56,6 +57,23 @@ Graph RandomLabelledGraph(Rng* rng, size_t max_n, bool directed) {
       if (rng->NextBernoulli(0.3)) {
         g.AddEdge(static_cast<VertexId>(u), static_cast<VertexId>(v))
             .IgnoreError();
+      }
+    }
+  }
+  return g;
+}
+
+// A stochastic block model with uniform one-hot labels over `labels`
+// classes: the shape of an aging community graph, at test scale.
+Graph LabelledSbm(Rng* rng, size_t n, size_t blocks, double p_in,
+                  double p_out, size_t labels) {
+  const Graph sbm = RandomSbm(n, blocks, p_in, p_out, rng).graph;
+  Graph g(n, labels);
+  for (VertexId u = 0; u < n; ++u) {
+    g.SetOneHotFeature(u, rng->NextBounded(labels));
+    for (VertexId v : sbm.Neighbors(u)) {
+      if (v > u) {
+        EXPECT_TRUE(g.AddEdge(u, v).ok());
       }
     }
   }
@@ -490,6 +508,40 @@ TEST(IncrementalRefinerTest, DirectedUpdateTracksInNeighborFrontier) {
   EXPECT_EQ(refiner.rounds(), cr.rounds);
   // The cycle is vertex-transitive with uniform labels: one class.
   EXPECT_EQ(refiner.partition_size(), 1u);
+}
+
+// Memory follows the live classes: after every Update of a long aging
+// replay, the round tables hold exactly as many signatures as the rounds
+// of a from-scratch refinement have distinct colors, whatever the
+// tables held before. Every batch is patched (no fallback), and with 4
+// labels the fixpoint moves among rounds 3, 4 and 5, so rounds are both
+// extended and truncated.
+TEST(IncrementalRefinerTest, TablesHoldExactlyTheLiveClasses) {
+  Rng rng(59);
+  Graph g = LabelledSbm(&rng, 512, 32, 0.25, 0.00025, 4);
+  IncrementalColorRefiner refiner(
+      &g, IncrementalColorRefiner::Options{/*fallback_dirty_fraction=*/1.0});
+  UpdateLog log = GenerateUpdateLog(g, /*num_ops=*/3000,
+                                    /*delete_fraction=*/0.5, &rng);
+  ReplayOptions options;
+  options.batch_size = 5;
+  size_t batches = 0;
+  size_t round_changes = 0;
+  GELC_CHECK_OK(ReplayUpdateLog(log, &g, options, [&](const ReplayBatch& b) {
+    ++batches;
+    const size_t rounds_before = refiner.rounds();
+    refiner.Update(b.touched);
+    EXPECT_FALSE(refiner.last_was_fallback());
+    round_changes += refiner.rounds() != rounds_before;
+    CrColoring cr = RunColorRefinement({&g});
+    size_t live = 0;
+    for (const Colorings& round : cr.history) live += CountDistinct(round);
+    EXPECT_EQ(refiner.interned(), live) << "batch " << batches;
+    EXPECT_EQ(refiner.rounds(), cr.rounds) << "batch " << batches;
+    return Status::OK();
+  }));
+  EXPECT_EQ(batches, 600u);
+  EXPECT_GE(round_changes, 10u);
 }
 
 TEST(IncrementalRefinerTest, PartitionSurvivesLongInterleavedSequence) {

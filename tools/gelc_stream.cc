@@ -11,9 +11,9 @@
 // Every R-th batch runs an SpMM read over g.Csr(), which rebuilds the
 // snapshot the batches made stale, the way a streaming GNN layer would.
 // `--verify` additionally rebuilds the graph from scratch after every
-// batch and checks all three CSR operators, the SpMM output and the
-// refinement partition against it (slow; tests/stream_test.cc runs the
-// same differential at scale).
+// batch and checks all three CSR operators, the SpMM output, and the
+// refinement partition and round count against it (slow;
+// tests/stream_test.cc runs the same differential at scale).
 //
 // Everything is seeded and all printed quantities live on the
 // deterministic plane, so output is byte-identical across runs and
@@ -52,16 +52,16 @@ struct StreamConfig {
   bool verify = false;
 };
 
-// Canonical partition fingerprint: class sizes in sorted order (id-free,
-// so it matches across incremental and from-scratch colorings).
-std::vector<size_t> PartitionShape(const std::vector<uint64_t>& colors) {
-  std::map<uint64_t, size_t> count;
-  for (uint64_t c : colors) ++count[c];
-  std::vector<size_t> shape;
-  shape.reserve(count.size());
-  for (const auto& [id, k] : count) shape.push_back(k);
-  std::sort(shape.begin(), shape.end());
-  return shape;
+// Canonical form of a coloring: ids renumbered by first occurrence, so
+// two colorings compare equal iff they induce the same partition.
+std::vector<uint64_t> NormalizePartition(const std::vector<uint64_t>& c) {
+  std::map<uint64_t, uint64_t> remap;
+  std::vector<uint64_t> out;
+  out.reserve(c.size());
+  for (uint64_t id : c) {
+    out.push_back(remap.emplace(id, remap.size()).first->second);
+  }
+  return out;
 }
 
 double MatrixSum(const Matrix& m) {
@@ -149,11 +149,12 @@ int RunStream(const StreamConfig& cfg) {
         return Status::Internal("mutated/scratch CSR divergence");
       }
       CrColoring cr = RunColorRefinement({&fresh});
-      if (PartitionShape(refiner.colors()) !=
-          PartitionShape(cr.stable[0])) {
+      if (NormalizePartition(refiner.colors()) !=
+              NormalizePartition(cr.stable[0]) ||
+          refiner.rounds() != cr.rounds) {
         std::fprintf(stderr,
                      "gelc_stream: verify FAILED at batch %zu "
-                     "(refinement partition)\n",
+                     "(refinement partition or rounds)\n",
                      batches);
         return Status::Internal("incremental/scratch partition divergence");
       }
@@ -168,8 +169,9 @@ int RunStream(const StreamConfig& cfg) {
   std::printf("final: arcs=%zu edges=%zu epoch=%llu\n", g.num_arcs(),
               g.num_edges(),
               static_cast<unsigned long long>(g.mutation_epoch()));
-  std::printf("refine: rounds=%zu classes=%zu\n", refiner.rounds(),
-              refiner.partition_size());
+  std::printf("refine: rounds=%zu classes=%zu interned=%zu\n",
+              refiner.rounds(), refiner.partition_size(),
+              refiner.interned());
   std::printf("reads: count=%zu checksum=%.17g\n", reads, read_checksum);
   std::printf(
       "stream counters: batches=%llu inserts=%llu deletes=%llu "
